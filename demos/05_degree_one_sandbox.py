@@ -4,12 +4,14 @@ One-index variables in two colors give a miniature of the whole
 machinery: monomials are colored subsets, the moves add an element or
 push one up, and ideals generated by a single orbit have initial sets
 that really are up-sets.  Small enough to check everything exhaustively.
+The initial sets come from the same pipeline as the matching flavors, and
+the growth order is decided in closed form (no search).
 """
 
 from fractions import Fraction
 
 from tca_lab.algebra import (EquivariantIdeal, VariableSystem,
-                             degree_one_verify_move_closure)
+                             verify_move_closure)
 from tca_lab.matchings import (all_colored_sets, colored_key, degree_one_leq,
                                degree_one_moves, fmt_colored_set, fmt_move,
                                max_antichain)
@@ -23,14 +25,14 @@ for mv, result in degree_one_moves(s, 3):
 
 x1 = {((0, 1),): Fraction(1)}
 orbit = EquivariantIdeal.from_generators(system, [x1], label="x1-orbit")
-res = degree_one_verify_move_closure(orbit, 2, 6)
+res = verify_move_closure(orbit, 2, 6)
 print(f"\nx1-orbit ideal: initial set {res.initial_size}, "
       f"moves checked {res.moves_checked}, closed: {res.closed}")
 
 mixed = EquivariantIdeal.from_generators(
     system, [{((0, 1),): Fraction(1), ((1, 1),): Fraction(1)}],
     label="red-plus-blue")
-res = degree_one_verify_move_closure(mixed, 2, 6)
+res = verify_move_closure(mixed, 2, 6)
 print(f"red-plus-blue ideal: initial set {res.initial_size}, "
       f"closed: {res.closed}")
 

@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 from . import matchings, torlab
 from .algebra import (EquivariantIdeal, VariableSystem, indicator_weight,
                       monomials_of_weight, verify_move_closure,
-                      degree_one_verify_move_closure, ideal_contains_isotypic)
+                      ideal_contains_isotypic)
 from .errors import DegreeOverflowError, SearchBudgetExceededError
 from .matchings import fmt_colored_set, fmt_matching, fmt_move
 from .partitions import (algebra_closed_formula, contains, decompose_algebra,
@@ -104,6 +104,38 @@ def _random_quadratic_ideals(seed, system, count):
                            rng.choice((1, 1, 2))) for m in chosen}
         out.append(EquivariantIdeal.from_generators(
             system, [vec], label=f"random-{k}"))
+    return out
+
+
+def _random_degree_one_vector(rng, system, degree):
+    """A weight-homogeneous vector on a random support with random colors."""
+    support = sorted(rng.sample(range(1, system.rank + 1), degree))
+    vec = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = tuple(sorted((rng.randint(0, 1), i) for i in support))
+        coeff = Fraction(rng.choice((1, -1, 2, -2, 1, 3)),
+                         rng.choice((1, 1, 2)))
+        vec[mono] = vec.get(mono, 0) + coeff
+    vec = {m: c for m, c in vec.items() if c}
+    return vec or _random_degree_one_vector(rng, system, degree)
+
+
+def sandbox_ideals(seed, rank, degree, count=10):
+    """The two pinned sandbox ideals plus enough random ones to reach ``count``."""
+    system = VariableSystem("degree_one", rank)
+    x1 = {((0, 1),): Fraction(1)}
+    x1_plus_y1 = {((0, 1),): Fraction(1), ((1, 1),): Fraction(1)}
+    out = [
+        EquivariantIdeal.from_generators(system, [x1], label="first-red-orbit"),
+        EquivariantIdeal.from_generators(system, [x1_plus_y1],
+                                         label="red-plus-blue-orbit"),
+    ]
+    rng = random.Random(seed)
+    while len(out) < count:
+        d = rng.randint(1, degree)
+        vec = _random_degree_one_vector(rng, system, d)
+        out.append(EquivariantIdeal.from_generators(
+            system, [vec], label=f"random-{len(out) - 1}"))
     return out
 
 
@@ -210,11 +242,9 @@ def criterion_6(rep, seed, budget):
 
 
 def _sandbox_suite(seed):
-    from .cli import sandbox_ideals
-
     results = []
     for ideal in sandbox_ideals(seed, 6, 2):
-        res = degree_one_verify_move_closure(ideal, 2, 6)
+        res = verify_move_closure(ideal, 2, 6)
         results.append((ideal.label, res))
     return results
 

@@ -27,19 +27,21 @@ matchings of its support; its initial matching is the largest support
 matching in the total order of :mod:`tca_lab.matchings`.  The initial set
 of an ideal collects the leading matchings of every admissible slice, read
 off as the pivots of an echelon form whose columns are sorted descending.
+The degree_one system reads the same data one degree down: a 0/1 weight
+of degree d is supported on colored sets of d elements, ordered by
+:func:`tca_lab.matchings.colored_key`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 from .errors import DegreeOverflowError, ZeroVectorError
-from .partitions import partitions_of
+from .partitions import partitions_of, poly_add
 from .matchings import (
-    Move,
     colored_key,
     colored_set,
     degree_one_moves,
@@ -131,24 +133,6 @@ def term(system, coeff, pairs):
     if not c:
         return {}
     return {tuple(sorted(out)): c}
-
-
-def poly_add(acc, other, scale=1):
-    """acc += scale*other in place; zero coefficients are dropped."""
-    for m, c in other.items():
-        v = acc.get(m, 0) + scale * c
-        if v:
-            acc[m] = v
-        else:
-            acc.pop(m, None)
-    return acc
-
-
-def poly_scale(p, c):
-    return {m: v * c for m, v in p.items()} if c else {}
-
-def poly_degree(p):
-    return max((len(m) for m in p), default=0)
 
 
 def mono_mul_poly(mono, p):
@@ -467,16 +451,13 @@ def highest_weight_vector(system, lam):
 
     Products of leading principal minors (symmetric and generic systems,
     one factor per column of ``lam``) or of leading Pfaffians (one factor
-    of size ``2*part`` per row of ``lam``).  Raises on labels that need
-    more rows than the rank affords.
+    of size ``2*part`` per row of ``lam``).  Raises on blocks that vanish
+    at this rank (see :func:`block_vanishes`).
     """
-    if system.flavor == "degree_one":
-        raise ValueError("degree_one system has no partition labels")
-    n = system.rank
+    if block_vanishes(system, lam):
+        raise ValueError(f"block {lam} vanishes at rank {system.rank}")
     out = {(): Fraction(1)}
     if system.flavor == "antisymmetric":
-        if lam and 2 * lam[0] > n:
-            raise ValueError(f"label {lam} needs rank >= {2 * lam[0]}")
         for part in lam:
             factor = corner_pfaffian(system, 2 * part)
             new = {}
@@ -485,8 +466,6 @@ def highest_weight_vector(system, lam):
                     poly_add(new, {tuple(sorted(m + m2)): c * c2})
             out = new
         return out
-    if len(lam) > n:
-        raise ValueError(f"label {lam} needs rank >= {len(lam)}")
     heights = []
     if lam:
         for j in range(lam[0]):
@@ -499,6 +478,17 @@ def highest_weight_vector(system, lam):
                 poly_add(new, {tuple(sorted(m + m2)): c * c2})
         out = new
     return out
+
+
+def block_vanishes(system, lam):
+    """Whether the isotypic block labelled ``lam`` is zero at this rank:
+    it needs more rows (twice the first row for the antisymmetric system)
+    than the rank affords."""
+    if system.flavor == "degree_one":
+        raise ValueError("degree_one system has no partition labels")
+    if system.flavor == "antisymmetric":
+        return bool(lam) and 2 * lam[0] > system.rank
+    return len(lam) > system.rank
 
 
 def hw_weight(system, lam):
@@ -713,8 +703,13 @@ class EquivariantIdeal:
 
     @classmethod
     def isotypic(cls, system, lam, label=""):
+        """The ideal generated by one isotypic block; the zero ideal when
+        the block vanishes at this rank."""
         lam = tuple(lam)
-        ideal = cls(system, label or f"I[{lam}]")
+        label = label or f"I[{lam}]"
+        if block_vanishes(system, lam):
+            return cls.from_generators(system, [], label)
+        ideal = cls(system, label)
         hwv = highest_weight_vector(system, lam)
         mono = next(iter(hwv))
         ideal._hw = (hwv, len(mono), system.weight(mono))
@@ -820,13 +815,13 @@ def ideal_contains_isotypic(ideal, mu, d_bound=None):
     Graded pieces of the ideal are stable under the derivation action, so
     they contain the block iff they contain its highest vector: adding the
     vector to the slice leaves the weight-space dimension unchanged exactly
-    when the block is inside.
+    when the block is inside.  A block that vanishes at this rank counts as
+    contained.
     """
     system = ideal.system
-    try:
-        hwv = highest_weight_vector(system, tuple(mu))
-    except ValueError:
-        return True  # the block vanishes at this rank
+    if block_vanishes(system, tuple(mu)):
+        return True
+    hwv = highest_weight_vector(system, tuple(mu))
     mono = next(iter(hwv))
     d = len(mono)
     if d_bound is not None and d > d_bound:
@@ -844,14 +839,6 @@ def indicator_weight(n, support):
     for s in support:
         w[s - 1] = 1
     return tuple(w)
-
-
-def monomial_to_matching(mono):
-    return matching(mono)
-
-
-def matching_to_monomial(g):
-    return tuple(sorted(g))
 
 
 def vector_to_matching_coords(vec):
@@ -887,40 +874,60 @@ def admissible_component(system, vectors, support):
     return [vector_to_matching_coords(v) for v in span.vectors()]
 
 
+def colored_coords(vec):
+    out = {}
+    for m, c in vec.items():
+        elems = tuple((i, "R" if col == 0 else "B") for col, i in m)
+        out[colored_set(elems)] = c
+    return out
+
+
+def _initial_data(flavor):
+    """How a flavor reads its initial data: (coordinates of a vector, total
+    order on them, support labels per degree, moves within a label bound).
+
+    Matchings for the two matrix flavors, colored sets for ``degree_one``.
+    Built on every call, so the move functions are looked up when the code
+    runs rather than frozen at import.
+    """
+    if flavor == "degree_one":
+        return colored_coords, colored_key, 1, degree_one_moves
+    if flavor not in MATCHING_FLAVORS:
+        raise ValueError("initial data need a symmetric, antisymmetric "
+                         "or degree_one system")
+    return (vector_to_matching_coords, matching_key, 2,
+            lambda g, bound: type1_moves(g, bound) + type2_moves(g))
+
+
 def ideal_admissible_component(ideal, support):
-    """Squarefree slice of an equivariant ideal, computed weight-first so
-    only the one needed weight space is ever assembled."""
+    """Squarefree slice of an equivariant ideal at the indicator weight of
+    ``support``, in matching (or colored-set) coordinates; computed
+    weight-first so only the one needed weight space is ever assembled."""
+    coords, _, step, _ = _initial_data(ideal.system.flavor)
     support = tuple(sorted(set(support)))
-    if len(support) % 2:
+    if len(support) % step:
         return []
-    if ideal.system.flavor not in MATCHING_FLAVORS:
-        raise ValueError("admissible slices need a symmetric or antisymmetric system")
-    d = len(support) // 2
     w = indicator_weight(ideal.system.rank, support)
-    span = ideal.component_span(d, w)
-    return [vector_to_matching_coords(v) for v in span.vectors()]
-
-
-def _pivot_matchings(vectors):
-    span = Span(key=matching_key)
-    for v in vectors:
-        span.add(v)
-    return set(span.pivots())
+    span = ideal.component_span(len(support) // step, w)
+    return [coords(v) for v in span.vectors()]
 
 
 def initial_set(ideal, degree_bound, support_bound):
-    """All initial matchings of admissible vectors within the bounds.
+    """All initial matchings (or colored sets) of admissible vectors within
+    the bounds.
 
     One echelon pass per support: the pivot set of a weight slice is
-    exactly the set of leading matchings of its nonzero vectors.
+    exactly the set of leading terms of its nonzero vectors.
     """
+    _, key, step, _ = _initial_data(ideal.system.flavor)
     out = set()
-    for size in range(2, min(2 * degree_bound, support_bound) + 1, 2):
+    for size in range(step, min(step * degree_bound, support_bound) + 1, step):
         for support in combinations(range(1, support_bound + 1), size):
-            vectors = ideal_admissible_component(ideal, support)
-            if vectors:
-                out |= _pivot_matchings(vectors)
-    return tuple(sorted(out, key=matching_key))
+            span = Span(key=key)
+            for v in ideal_admissible_component(ideal, support):
+                span.add(v)
+            out.update(span.pivots())
+    return tuple(sorted(out, key=key))
 
 
 @dataclass
@@ -939,18 +946,16 @@ class MoveClosureReport:
 
 
 def verify_move_closure(ideal, degree_bound, support_bound):
-    """Check that the initial set is stable under every growth and swap
-    move that stays within the bounds; violations are returned, not raised."""
+    """Check that the initial set is stable under every move that stays
+    within the bounds; violations are returned, not raised."""
+    _, key, _, moves = _initial_data(ideal.system.flavor)
     inset = set(initial_set(ideal, degree_bound, support_bound))
     moves_checked = 0
     violations = []
-    for g in sorted(inset, key=matching_key):
-        candidates = []
-        for mv, img in type1_moves(g, support_bound):
-            if len(img) <= degree_bound:
-                candidates.append((mv, img))
-        candidates.extend(type2_moves(g))
-        for mv, img in candidates:
+    for g in sorted(inset, key=key):
+        for mv, img in moves(g, support_bound):
+            if len(img) > degree_bound:
+                continue
             moves_checked += 1
             if img not in inset:
                 violations.append((g, mv, img))
@@ -962,66 +967,6 @@ def verify_move_closure(ideal, degree_bound, support_bound):
         moves_checked=moves_checked,
         violations=violations,
         flavor=ideal.system.flavor,
-    )
-
-
-# ---------------------------------------------------------------------------
-# The degree-one sandbox: same pipeline on colored sets.
-
-
-def colored_coords(vec):
-    out = {}
-    for m, c in vec.items():
-        elems = tuple((i, "R" if col == 0 else "B") for col, i in m)
-        out[colored_set(elems)] = c
-    return out
-
-
-def degree_one_component(ideal, support):
-    support = tuple(sorted(set(support)))
-    if ideal.system.flavor != "degree_one":
-        raise ValueError("expected a degree_one system")
-    d = len(support)
-    if d == 0:
-        return []
-    w = indicator_weight(ideal.system.rank, support)
-    span = ideal.component_span(d, w)
-    return [colored_coords(v) for v in span.vectors()]
-
-
-def degree_one_initial_set(ideal, degree_bound, support_bound):
-    out = set()
-    for size in range(1, min(degree_bound, support_bound) + 1):
-        for support in combinations(range(1, support_bound + 1), size):
-            vectors = degree_one_component(ideal, support)
-            if not vectors:
-                continue
-            span = Span(key=colored_key)
-            for v in vectors:
-                span.add(v)
-            out |= set(span.pivots())
-    return tuple(sorted(out, key=colored_key))
-
-
-def degree_one_verify_move_closure(ideal, degree_bound, support_bound):
-    inset = set(degree_one_initial_set(ideal, degree_bound, support_bound))
-    moves_checked = 0
-    violations = []
-    for s in sorted(inset, key=colored_key):
-        for mv, img in degree_one_moves(s, support_bound):
-            if len(img) > degree_bound:
-                continue
-            moves_checked += 1
-            if img not in inset:
-                violations.append((s, mv, img))
-    return MoveClosureReport(
-        label=ideal.label,
-        degree_bound=degree_bound,
-        support_bound=support_bound,
-        initial_size=len(inset),
-        moves_checked=moves_checked,
-        violations=violations,
-        flavor="degree_one",
     )
 
 

@@ -21,19 +21,19 @@ an explicit ``--budget`` wins over both.
 
 import argparse
 import os
-import random
 import sys
-from fractions import Fraction
 
 from . import algebra, matchings, torlab
-from .algebra import EquivariantIdeal, VariableSystem, ideal_contains_isotypic
+from .acceptance import run_all, sandbox_ideals
+from .algebra import (EquivariantIdeal, VariableSystem, block_vanishes,
+                      ideal_contains_isotypic)
 from .errors import (DegreeOverflowError, ParseError, SearchBudgetExceededError,
                      TcaLabError)
 from .ideal_io import format_poly, load_ideal_file, parse_matching
 from .matchings import fmt_colored_set, fmt_matching, fmt_move
 from .partitions import (algebra_closed_formula, contains, decompose_algebra,
                          fmt_partition, partitions_upto)
-from .reports import EXIT_INPUT_ERROR, INCONCLUSIVE, PASS, Report
+from .reports import EXIT_INPUT_ERROR, INCONCLUSIVE, Report
 
 DEFAULT_SEED = 1729
 MAIN_FLAVORS = ("symmetric", "antisymmetric", "generic")
@@ -176,38 +176,6 @@ def _poset_antichain(rep, args, budget):
     rep.check("antichain-found", True, f"size {len(found)}")
 
 
-def _random_degree_one_vector(rng, system, degree):
-    """A weight-homogeneous vector on a random support with random colors."""
-    support = sorted(rng.sample(range(1, system.rank + 1), degree))
-    vec = {}
-    for _ in range(rng.randint(1, 3)):
-        mono = tuple(sorted((rng.randint(0, 1), i) for i in support))
-        coeff = Fraction(rng.choice((1, -1, 2, -2, 1, 3)),
-                         rng.choice((1, 1, 2)))
-        vec[mono] = vec.get(mono, 0) + coeff
-    vec = {m: c for m, c in vec.items() if c}
-    return vec or _random_degree_one_vector(rng, system, degree)
-
-
-def sandbox_ideals(seed, rank, degree, count=10):
-    """The two pinned sandbox ideals plus enough random ones to reach ``count``."""
-    system = VariableSystem("degree_one", rank)
-    x1 = {((0, 1),): Fraction(1)}
-    x1_plus_y1 = {((0, 1),): Fraction(1), ((1, 1),): Fraction(1)}
-    out = [
-        EquivariantIdeal.from_generators(system, [x1], label="first-red-orbit"),
-        EquivariantIdeal.from_generators(system, [x1_plus_y1],
-                                         label="red-plus-blue-orbit"),
-    ]
-    rng = random.Random(seed)
-    while len(out) < count:
-        d = rng.randint(1, degree)
-        vec = _random_degree_one_vector(rng, system, d)
-        out.append(EquivariantIdeal.from_generators(
-            system, [vec], label=f"random-{len(out) - 1}"))
-    return out
-
-
 def _poset_sandbox(rep, args):
     rank = args.rank if args.rank is not None else 6
     degree = args.degree if args.degree is not None else 2
@@ -216,7 +184,7 @@ def _poset_sandbox(rep, args):
     rep.seed = seed
     all_closed = True
     for ideal in sandbox_ideals(seed, rank, degree):
-        res = algebra.degree_one_verify_move_closure(ideal, degree, rank)
+        res = algebra.verify_move_closure(ideal, degree, rank)
         all_closed = all_closed and res.closed
         rep.line(f"{ideal.label}: initial set {res.initial_size}, "
                  f"moves checked {res.moves_checked}, "
@@ -245,7 +213,7 @@ def cmd_poset(args):
         rep.config["budget"] = budget
     try:
         if args.subtask == "verify-example":
-            ns = parse_nrange(args.nrange) if args.nrange else (3, 4, 5)
+            ns = args.nrange or (3, 4, 5)
             rep.config["nrange"] = ",".join(map(str, ns))
             if min(ns) < 3:
                 raise ParseError("family members are defined from index 3 up")
@@ -278,16 +246,18 @@ def _ideal_lattice(rep, args):
     mismatches = []
     for lam in lams:
         row = []
+        predicted = {}
         for mu in lams:
             got = ideal_contains_isotypic(ideals[lam], mu)
-            want = contains(lam, mu)
+            # a block that vanishes at this rank sits in every ideal
+            want = contains(lam, mu) or block_vanishes(system, mu)
             if got != want:
                 mismatches.append((lam, mu, got, want))
             row.append("1" if got else ".")
+            predicted[fmt_partition(mu)] = want
         rep.line(fmt_partition(lam).ljust(8) + " ".join(c.rjust(7) for c in row))
         rep.record("lattice-row", generator=fmt_partition(lam),
-                   contains={fmt_partition(mu): bool(
-                       contains(lam, mu)) for mu in lams})
+                   contains=predicted)
     for lam, mu, got, want in mismatches:
         rep.line(f"MISMATCH at ({fmt_partition(lam)}, {fmt_partition(mu)}): "
                  f"engine {got}, containment predicts {want}")
@@ -363,7 +333,7 @@ def cmd_tor(args):
     r = args.rank if args.rank is not None else 1
     p_max = args.pmax if args.pmax is not None else 2
     q_max = args.degree if args.degree is not None else 4
-    ns = parse_nrange(args.nrange) if args.nrange else (2, 3, 4)
+    ns = args.nrange or (2, 3, 4)
     rep = Report("tor", config={"flavor": args.flavor, "rank_bound": r,
                                 "pmax": p_max, "qmax": q_max,
                                 "nrange": ",".join(map(str, ns))})
@@ -405,14 +375,25 @@ def cmd_tor(args):
 
 
 def cmd_accept(args):
-    from .acceptance import run_all
-
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     return run_all(seed=seed, budget=_budget(args))
 
 
 # ---------------------------------------------------------------------------
 # wiring
+
+
+def _at_least(low, parse=int):
+    """An argparse type: what ``parse`` reads, every number in it >= ``low``."""
+    def check(text):
+        try:
+            value = parse(text)
+        except (ValueError, ParseError) as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        if min(value if isinstance(value, tuple) else (value,)) < low:
+            raise argparse.ArgumentTypeError(f"{text!r}: numbers must be >= {low}")
+        return value
+    return check
 
 
 class _Parser(argparse.ArgumentParser):
@@ -427,19 +408,19 @@ def build_parser():
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def flags(p, *names):
+    def flags(p, *names, min_rank=1):
         if "flavor" in names:
             p.add_argument("--flavor", choices=MAIN_FLAVORS, default="symmetric")
         if "rank" in names:
-            p.add_argument("--rank", type=int)
+            p.add_argument("--rank", type=_at_least(min_rank))
         if "degree" in names:
-            p.add_argument("--degree", type=int)
+            p.add_argument("--degree", type=_at_least(0))
         if "pmax" in names:
-            p.add_argument("--pmax", type=int)
+            p.add_argument("--pmax", type=_at_least(0))
         if "nrange" in names:
-            p.add_argument("--nrange")
+            p.add_argument("--nrange", type=_at_least(1, parse_nrange))
         if "budget" in names:
-            p.add_argument("--budget", type=int)
+            p.add_argument("--budget", type=_at_least(0))
         if "seed" in names:
             p.add_argument("--seed", type=int)
         if "input" in names:
@@ -459,11 +440,12 @@ def build_parser():
 
     p = sub.add_parser("ideal", help="equivariant ideal checks")
     p.add_argument("subtask", choices=("lattice", "initial-set", "move-closure"))
-    flags(p, "flavor", "rank", "degree", "budget", "input")
+    flags(p, "flavor", "rank", "degree", "input")
     p.set_defaults(func=cmd_ideal)
 
     p = sub.add_parser("tor", help="Koszul homology and stabilization")
-    flags(p, "flavor", "rank", "degree", "pmax", "nrange")
+    # here --rank is the rank bound of the forms, and 0 is a valid bound
+    flags(p, "flavor", "rank", "degree", "pmax", "nrange", min_rank=0)
     p.set_defaults(func=cmd_tor)
 
     p = sub.add_parser("accept", help="run the acceptance suite")

@@ -491,40 +491,17 @@ def degree_one_moves(s, vertex_bound):
     return out
 
 
-def degree_one_leq(a, b, budget=None) -> bool:
-    """BFS reachability for colored sets under growth moves."""
-    a, b = colored_set(a), colored_set(b)
-    if a == b:
-        return True
-    maxb = max((e for e, _ in b), default=0)
-    sumb = sum(e for e, _ in b)
-    if len(a) > len(b) or sum(e for e, _ in a) > sumb:
-        return False
-    if max((e for e, _ in a), default=0) > maxb:
-        return False
-    for color in COLORS:
-        if sum(1 for _, c in a if c == color) > sum(1 for _, c in b if c == color):
-            return False
-    if budget is None:
-        budget = DEFAULT_BUDGET
-    visited = {a}
-    queue = deque([a])
-    spent = 0
-    while queue:
-        state = queue.popleft()
-        spent += 1
-        if spent > budget:
-            raise SearchBudgetExceededError(budget)
-        for _, nxt in degree_one_moves(state, maxb):
-            if nxt in visited:
-                continue
-            if len(nxt) > len(b) or sum(e for e, _ in nxt) > sumb:
-                continue
-            if nxt == b:
-                return True
-            visited.add(nxt)
-            queue.append(nxt)
-    return False
+def degree_one_leq(a, b) -> bool:
+    """Is ``b`` reachable from ``a`` by growth moves on colored sets?
+
+    A shift moves one step up onto a free slot, so elements never pass one
+    another and colors never change: ``a <= b`` exactly when some order- and
+    color-preserving injection ``f`` of ``a`` into ``b`` has ``f(x) >= x``
+    (shift from the largest element down, then add the rest).  Matching each
+    element to the first usable element of ``b`` decides it.
+    """
+    rest = iter(colored_set(b))
+    return all(any(y >= x and d == c for y, d in rest) for x, c in colored_set(a))
 
 
 def all_colored_sets(max_size, vertex_bound):

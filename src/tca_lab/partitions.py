@@ -201,7 +201,7 @@ def schur_dim(lam, n) -> int:
 # Generic symmetric-dict helpers.
 
 
-def poly_add_into(acc, poly, scale=1):
+def poly_add(acc, poly, scale=1):
     """acc += scale * poly, dropping zero entries.  Mutates and returns acc."""
     for k, v in poly.items():
         c = acc.get(k, 0) + scale * v
@@ -337,7 +337,7 @@ def decompose_into_schur(p, n, allow_negative=False) -> CharacterTable:
         if coeff < 0 and not allow_negative:
             raise NegativeMultiplicityError(f"multiplicity {coeff} at {lam}")
         entries[lam] = _as_plain(coeff)
-        poly_add_into(work, schur_character(lam, n), -coeff)
+        poly_add(work, schur_character(lam, n), -coeff)
     return CharacterTable(entries, n)
 
 

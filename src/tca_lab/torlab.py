@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from random import Random
 
 from .algebra import (
@@ -28,13 +28,10 @@ from .algebra import (
     Span,
     VariableSystem,
     monomials_of_weight,
-    poly_add,
-    term,
     weight_subtract,
 )
 from .errors import NonSymmetricCharacterError
 from .partitions import (
-    CharacterTable,
     decompose_into_schur,
     decompose_pair_into_schur,
     partitions_of,
@@ -86,53 +83,21 @@ class DeterminantalIdealSpec:
         return f"{self.flavor} rank<= {self.rank_bound} via {cut}{tag}"
 
 
-def _minor(system, rows, cols):
-    out = {}
-    k = len(rows)
-    for perm in permutations(range(k)):
-        sign = 1
-        for a in range(k):
-            for b in range(a + 1, k):
-                if perm[a] > perm[b]:
-                    sign = -sign
-        poly_add(out, term(system, sign, [(rows[a], cols[perm[a]]) for a in range(k)]))
-    return out
-
-
-def _pfaffian(system, labels):
-    if len(labels) % 2:
-        raise ValueError("pfaffian needs an even label set")
-    if not labels:
-        return {(): Fraction(1)}
-    a = labels[0]
-    out = {}
-    for t in range(1, len(labels)):
-        b = labels[t]
-        rest = labels[1:t] + labels[t + 1:]
-        sign = 1 if t % 2 else -1
-        for m, c in _pfaffian(system, rest).items():
-            poly_add(out, term(system, sign * c, [(a, b)] + list(m)))
-    return out
-
-
 def determinantal_ideal(spec):
-    """The equivariant ideal cutting out forms of bounded rank."""
+    """The equivariant ideal cutting out forms of bounded rank.
+
+    It is a single isotypic ideal (de Concini-Eisenbud-Procesi): the block
+    of one column of ``minor_size`` boxes, spanned by the minors of that
+    size, or for alternating forms the block of one row of
+    ``pfaffian_size // 2`` boxes, spanned by the Pfaffians.  Trivial specs
+    are exactly those whose block vanishes at this rank: the zero ideal.
+    """
     system = VariableSystem(spec.flavor, spec.rank)
-    n = spec.rank
-    gens = []
-    if spec.is_trivial:
-        return EquivariantIdeal.from_generators(system, [], label=spec.describe())
     if spec.flavor == "antisymmetric":
-        for labels in combinations(range(1, n + 1), spec.pfaffian_size):
-            gens.append(_pfaffian(system, labels))
+        lam = (spec.pfaffian_size // 2,)
     else:
-        k = spec.minor_size
-        for rows in combinations(range(1, n + 1), k):
-            for cols in combinations(range(1, n + 1), k):
-                if spec.flavor == "symmetric" and cols < rows:
-                    continue    # minor(R,C) = minor(C,R) for symmetric forms
-                gens.append(_minor(system, rows, cols))
-    return EquivariantIdeal.from_generators(system, gens, label=spec.describe())
+        lam = (1,) * spec.minor_size
+    return EquivariantIdeal.isotypic(system, lam, label=spec.describe())
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,6 @@ from tca_lab.algebra import (
     VariableSystem,
     admissible_component,
     all_ops,
-    degree_one_initial_set,
-    degree_one_verify_move_closure,
     highest_weight_vector,
     hw_weight,
     ideal_admissible_component,
@@ -384,22 +382,22 @@ def blue(i):
 
 def test_sandbox_first_orbit():
     orbit = EquivariantIdeal.from_generators(D1, [red(1)])
-    inset = degree_one_initial_set(orbit, 2, 6)
+    inset = initial_set(orbit, 2, 6)
     assert len(inset) == 51
     assert all(any(c == "R" for _, c in s) for s in inset)
     singles = [s for s in inset if len(s) == 1]
     assert [dict(s) for s in singles] == [{i: "R"} for i in range(1, 7)]
-    assert degree_one_verify_move_closure(orbit, 2, 6).closed
+    assert verify_move_closure(orbit, 2, 6).closed
 
 
 def test_sandbox_mixed_generator_pivots_blue():
     gen = dict(red(1))
     poly_add(gen, blue(1))
     ideal = EquivariantIdeal.from_generators(D1, [gen])
-    inset = degree_one_initial_set(ideal, 1, 6)
+    inset = initial_set(ideal, 1, 6)
     assert [fmt_colored(s) for s in inset] == [
         "{1B}", "{2B}", "{3B}", "{4B}", "{5B}", "{6B}"]
-    assert degree_one_verify_move_closure(ideal, 2, 6).closed
+    assert verify_move_closure(ideal, 2, 6).closed
 
 
 def fmt_colored(s):
@@ -409,13 +407,13 @@ def fmt_colored(s):
 
 def test_sandbox_zero_ideal():
     zero = EquivariantIdeal.from_generators(D1, [])
-    assert degree_one_initial_set(zero, 2, 6) == ()
-    assert degree_one_verify_move_closure(zero, 2, 6).closed
+    assert initial_set(zero, 2, 6) == ()
+    assert verify_move_closure(zero, 2, 6).closed
 
 
 def test_sandbox_random_suite_is_closed():
-    from tca_lab.cli import sandbox_ideals
+    from tca_lab.acceptance import sandbox_ideals
 
     for ideal in sandbox_ideals(31337, 6, 2):
-        res = degree_one_verify_move_closure(ideal, 2, 6)
+        res = verify_move_closure(ideal, 2, 6)
         assert res.closed, ideal.label

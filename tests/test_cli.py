@@ -242,6 +242,16 @@ def test_cli_ideal_lattice(capsys):
     assert "check lattice-matches-containment: PASS  [4x4 table]" in out
 
 
+@pytest.mark.parametrize("flavor,rank", [
+    ("antisymmetric", 2), ("antisymmetric", 3), ("antisymmetric", 4),
+    ("symmetric", 2), ("generic", 2)])
+def test_cli_ideal_lattice_where_blocks_vanish(capsys, flavor, rank):
+    code, out, _ = run(capsys, "ideal", "lattice", "--flavor", flavor,
+                       "--rank", str(rank), "--degree", "3")
+    assert code == 0
+    assert "check lattice-matches-containment: PASS  [7x7 table]" in out
+
+
 def test_cli_ideal_initial_set(tmp_path, capsys):
     path = tmp_path / "det2.ideal"
     path.write_text(DET2, encoding="utf-8")
@@ -300,6 +310,21 @@ def test_cli_argparse_errors(capsys):
     assert run(capsys, "poset", "meander")[0] == 4
     assert run(capsys, "decompose", "--flavor", "sideways")[0] == 4
     assert run(capsys, "decompose", "--rank", "x")[0] == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ("ideal", "lattice", "--rank", "0"),
+    ("poset", "sandbox", "--rank", "0"),
+    ("tor", "--nrange", "0..2"),
+    ("decompose", "--rank", "-1"),
+    ("decompose", "--degree", "-2"),
+    ("tor", "--pmax", "-1", "--nrange", "2"),
+    ("accept", "--budget", "-5"),
+])
+def test_cli_rejects_out_of_range_numbers(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == "" and "error:" in err and "Traceback" not in err
 
 
 def test_cli_budget_and_env(capsys, monkeypatch):

@@ -1,11 +1,12 @@
 """Koszul strands, determinantal ideals, and cross-rank stabilization."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
-from tca_lab.algebra import EquivariantIdeal, VariableSystem, poly_add, term
+from tca_lab.algebra import (EquivariantIdeal, Span, VariableSystem, poly_add,
+                             rep_closure, term)
 from tca_lab.partitions import decompose_into_schur
 from tca_lab.torlab import (
     DeterminantalIdealSpec,
@@ -63,6 +64,61 @@ def test_determinantal_generators():
 
     assert determinantal_ideal(
         DeterminantalIdealSpec("symmetric", 3, 3)).component(2) == []
+
+
+def explicit_minor(system, rows, cols):
+    out = {}
+    for perm in permutations(range(len(rows))):
+        sign = (-1) ** sum(perm[a] > perm[b]
+                           for a, b in combinations(range(len(perm)), 2))
+        poly_add(out, term(system, sign, [(rows[a], cols[perm[a]])
+                                          for a in range(len(rows))]))
+    return out
+
+
+def explicit_pfaffian(system, labels):
+    if not labels:
+        return {(): Fraction(1)}
+    out = {}
+    for t in range(1, len(labels)):
+        rest = labels[1:t] + labels[t + 1:]
+        for m, c in explicit_pfaffian(system, rest).items():
+            poly_add(out, term(system, (-1) ** (t + 1) * c,
+                               [(labels[0], labels[t])] + list(m)))
+    return out
+
+
+def explicit_generators(spec):
+    """Every minor of size minor_size (or Pfaffian of size pfaffian_size)."""
+    system = VariableSystem(spec.flavor, spec.rank)
+    labels = range(1, spec.rank + 1)
+    if spec.flavor == "antisymmetric":
+        return [explicit_pfaffian(system, sub)
+                for sub in combinations(labels, spec.pfaffian_size)]
+    k = spec.minor_size
+    return [explicit_minor(system, rows, cols)
+            for rows in combinations(labels, k) for cols in combinations(labels, k)]
+
+
+@pytest.mark.parametrize("flavor", ["symmetric", "antisymmetric", "generic"])
+def test_determinantal_ideal_spans_the_explicit_minors(flavor):
+    """The isotypic construction against the orbit of explicitly built
+    minors or Pfaffians: the same subspace in the generating degree."""
+    for n in range(1, 5):
+        for r in range(n + 1):
+            spec = DeterminantalIdealSpec(flavor, n, r)
+            system = VariableSystem(flavor, n)
+            oracle = rep_closure(system, explicit_generators(spec))
+            got = determinantal_ideal(spec)
+            degree = (spec.pfaffian_size // 2 if flavor == "antisymmetric"
+                      else spec.minor_size)
+            component = got.component(degree)
+            assert len(component) == len(oracle), spec
+            span = Span()
+            for v in component:
+                span.add(v)
+            assert all(span.contains(v) for v in oracle), spec
+            assert (not oracle) == spec.is_trivial, spec
 
 
 def test_hypersurface_tables():
