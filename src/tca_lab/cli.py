@@ -45,9 +45,12 @@ def _budget(args):
     env = os.environ.get("TCA_LAB_BUDGET")
     if env is not None:
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise ParseError(f"TCA_LAB_BUDGET must be an integer, got {env!r}")
+        if budget < 0:
+            raise ParseError(f"TCA_LAB_BUDGET must be >= 0, got {env!r}")
+        return budget
     return None
 
 
@@ -180,6 +183,9 @@ def _poset_sandbox(rep, args):
     rank = args.rank if args.rank is not None else 6
     degree = args.degree if args.degree is not None else 2
     seed = args.seed if args.seed is not None else DEFAULT_SEED
+    if not 1 <= degree <= rank:
+        raise ParseError(f"sandbox --degree must be between 1 and --rank ({rank}), "
+                         f"got {degree}")
     rep.config.update({"rank": rank, "degree": degree})
     rep.seed = seed
     all_closed = True

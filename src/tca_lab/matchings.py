@@ -14,10 +14,26 @@ Two families of rewriting moves act on matchings:
   is matched to something beyond j.
 
 ``leq_type1`` asks whether a matching can be rewritten into another using
-growth moves only; ``leq_full`` allows both families.  Both are decided by
-exact breadth-first search: growth moves never decrease the edge count, the
-label sum, or the largest label, and swap moves preserve all three, so the
-state space below a fixed target is finite and the search is complete.
+growth moves only; ``leq_full`` allows both families.
+
+The growth order has a closed form.  A shift moves one endpoint up by one
+onto a free label, so no label ever passes another, and an added edge only
+brings new labels in.  Hence ``a <= b`` under growth moves exactly when
+some ``|a|``-subset S of b's edges admits the order-preserving bijection
+``f`` from a's sorted labels onto S's sorted labels with ``f(x) >= x`` that
+maps every edge of ``a`` onto an edge of S.  Conversely such an ``f`` is a
+witness: shift the labels of ``a`` up to their images from the largest
+down (the labels above are already in place, so each path is free), then
+add the edges of ``b`` outside S.  ``leq_type1`` scans these subsets in a
+fixed order.  ``leq_full`` tries the same injection first and only then
+runs an exact breadth-first search with both families: growth moves never
+decrease the edge count, the label sum, or the largest label, and swap
+moves preserve all three, so the state space below a fixed target is
+finite and the search is complete.
+
+A ``budget`` caps the search work examined by one decision: each candidate
+subset and each expanded breadth-first state spends one unit, and running
+out raises :class:`SearchBudgetExceededError` rather than answering.
 
 The total comparison ``matching_key`` orders matchings by edge count first
 (more edges = larger), then by comparing the sorted edge sequences from the
@@ -37,6 +53,7 @@ algebra module documents the lone violating slice.)
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import IndexTooSmallError, SearchBudgetExceededError
@@ -78,6 +95,15 @@ def matching(edges):
             seen.add(v)
         out.append((i, j))
     return tuple(sorted(out, key=edge_key))
+
+
+def _canon(edges):
+    """Canonical order for edges already known to form a matching."""
+    return tuple(sorted(edges, key=edge_key))
+
+
+def _edge(u, v):
+    return (u, v) if u < v else (v, u)
 
 
 def vertices(g):
@@ -125,15 +151,15 @@ def type1_moves(g, vertex_bound):
     for ai in range(len(free)):
         for bi in range(ai + 1, len(free)):
             e = (free[ai], free[bi])
-            out.append((Move("add_edge", (e,)), matching(g + (e,))))
+            out.append((Move("add_edge", (e,)), _canon(g + (e,))))
     for e in g:
         i, j = e
         rest = tuple(f for f in g if f != e)
         for moved, other in ((i, j), (j, i)):
             up = moved + 1
             if up <= vertex_bound and up not in used:
-                ne = (other, up) if other < up else (up, other)
-                out.append((Move("shift_endpoint", (e, ne)), matching(rest + (ne,))))
+                ne = _edge(other, up)
+                out.append((Move("shift_endpoint", (e, ne)), _canon(rest + (ne,))))
     return out
 
 
@@ -164,14 +190,16 @@ def type2_moves(g):
             else:
                 continue
             if all(partner.get(v, l + j) > j for v in gap if v in partner):
-                out.append((Move(kind, (e, f) + new), matching(rest + new)))
+                out.append((Move(kind, (e, f) + new), _canon(rest + new)))
     return out
 
 
 def apply_move(g, move):
     """Replay one move against ``g``; raises ValueError if it does not apply."""
-    candidates = type1_moves(g, max(max_vertex(g) + 2, _move_bound(move)))
-    candidates += type2_moves(g)
+    if move.kind in ("add_edge", "shift_endpoint"):
+        candidates = type1_moves(g, max(max_vertex(g) + 2, _move_bound(move)))
+    else:
+        candidates = type2_moves(g)
     for m, result in candidates:
         if m == move:
             return result
@@ -212,31 +240,67 @@ def fmt_move(mv) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Order decision procedures (bounded BFS).
+# Order decision procedures.
 
 
-def _bfs_reach(a, b, use_swaps, budget, want_witness):
-    if a == b:
-        return (True, []) if want_witness else True
+def _ruled_out(a, b):
+    """Moves never decrease the edge count, largest label or label sum."""
+    return (len(a) > len(b) or max_vertex(a) > max_vertex(b)
+            or label_sum(a) > label_sum(b))
+
+
+def _spend(spent, budget):
+    spent += 1
+    if spent > budget:
+        raise SearchBudgetExceededError(budget)
+    return spent
+
+
+def _growth_injection(a, b, budget):
+    """The injection ``f`` of a's labels into b's deciding ``a <= b`` under
+    growth moves (None if there is none), and the budget it spent."""
+    labels = sorted(vertices(a))
+    spent = 0
+    for sub in combinations(b, len(a)):
+        spent = _spend(spent, budget)
+        images = sorted(v for e in sub for v in e)
+        if all(y >= x for x, y in zip(labels, images)):
+            f = dict(zip(labels, images))
+            if all((f[i], f[j]) in sub for i, j in a):
+                return f, spent
+    return None, spent
+
+
+def _growth_witness(a, b, f):
+    """Growth moves from ``a`` to ``b`` along the injection ``f``: shift each
+    label up to its image, largest first, then add the missing edges."""
+    partner = {}
+    for i, j in a:
+        partner[i], partner[j] = j, i
+    moves = []
+    for x in sorted(f, reverse=True):
+        for v in range(x, f[x]):
+            p = partner.pop(v)
+            moves.append(Move("shift_endpoint", (_edge(v, p), _edge(v + 1, p))))
+            partner[v + 1], partner[p] = p, v + 1
+    have = {_edge(v, p) for v, p in partner.items()}
+    moves += [Move("add_edge", (e,)) for e in b if e not in have]
+    return moves
+
+
+def _bfs_reach(a, b, budget, spent, want_witness):
+    """Breadth-first search with growth and swap moves, continuing a budget
+    of which ``spent`` units are already used."""
     nb = len(b)
     maxb = max_vertex(b)
     sumb = label_sum(b)
-    if len(a) > nb or max_vertex(a) > maxb or label_sum(a) > sumb:
-        return (False, None) if want_witness else False
-    if budget is None:
-        budget = DEFAULT_BUDGET
     visited = {a}
     parent = {a: None} if want_witness else None
     queue = deque([a])
-    spent = 0
     while queue:
         state = queue.popleft()
-        spent += 1
-        if spent > budget:
-            raise SearchBudgetExceededError(budget)
-        moves = type1_moves(state, maxb)
-        if use_swaps:
-            moves += type2_moves(state)
+        spent = _spend(spent, budget)
+        moves = type1_moves(state, maxb) + type2_moves(state)
         for mv, nxt in moves:
             if nxt in visited:
                 continue
@@ -246,7 +310,7 @@ def _bfs_reach(a, b, use_swaps, budget, want_witness):
                 parent[nxt] = (state, mv)
             if nxt == b:
                 if not want_witness:
-                    return True
+                    return True, None
                 path = []
                 cur = nxt
                 while parent[cur] is not None:
@@ -256,12 +320,16 @@ def _bfs_reach(a, b, use_swaps, budget, want_witness):
                 return True, list(reversed(path))
             visited.add(nxt)
             queue.append(nxt)
-    return (False, None) if want_witness else False
+    return False, None
 
 
 def leq_type1(a, b, budget=None) -> bool:
     """Is ``b`` reachable from ``a`` by growth moves alone?"""
-    return _bfs_reach(matching(a), matching(b), False, budget, False)
+    a, b = matching(a), matching(b)
+    if a == b or _ruled_out(a, b):
+        return a == b
+    budget = DEFAULT_BUDGET if budget is None else budget
+    return _growth_injection(a, b, budget)[0] is not None
 
 
 def leq_full(a, b, budget=None, witness=False):
@@ -270,8 +338,17 @@ def leq_full(a, b, budget=None, witness=False):
     With ``witness=True`` returns (verdict, move list or None); the move
     list replays from ``a`` to ``b`` via :func:`replay`.
     """
-    res = _bfs_reach(matching(a), matching(b), True, budget, witness)
-    return res
+    a, b = matching(a), matching(b)
+    if a == b or _ruled_out(a, b):
+        verdict, moves = a == b, ([] if a == b else None)
+    else:
+        budget = DEFAULT_BUDGET if budget is None else budget
+        f, spent = _growth_injection(a, b, budget)
+        if f is not None:
+            verdict, moves = True, _growth_witness(a, b, f) if witness else None
+        else:
+            verdict, moves = _bfs_reach(a, b, budget, spent, witness)
+    return (verdict, moves) if witness else verdict
 
 
 # ---------------------------------------------------------------------------

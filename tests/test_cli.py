@@ -327,6 +327,16 @@ def test_cli_rejects_out_of_range_numbers(capsys, argv):
     assert out == "" and "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("poset", "sandbox", "--degree", "0"),
+    ("poset", "sandbox", "--rank", "2", "--degree", "3"),
+])
+def test_cli_sandbox_rejects_degree_outside_one_to_rank(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == "" and "--degree" in err and "Traceback" not in err
+
+
 def test_cli_budget_and_env(capsys, monkeypatch):
     code, out, _ = run(capsys, "poset", "verify-example", "--budget", "1")
     assert code == 3
@@ -351,6 +361,11 @@ def test_cli_budget_and_env(capsys, monkeypatch):
     code, _, err = run(capsys, "poset", "compare", "{(1,2)}", "{(2,3)}")
     assert code == 4
     assert "TCA_LAB_BUDGET must be an integer" in err
+
+    monkeypatch.setenv("TCA_LAB_BUDGET", "-5")
+    code, out, err = run(capsys, "poset", "compare", "{(1,2)}", "{(2,3)}")
+    assert code == 4
+    assert out == "" and "TCA_LAB_BUDGET must be >= 0" in err
 
 
 def test_cli_output_flag(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 The exhaustive sections build an independent transitive-closure oracle
 over the full universe of matchings with at most 3 edges on labels 1..8
-(659 elements) and check the BFS decision procedures against it.
+(659 elements) and check the decision procedures against it on every
+ordered pair.  A plain breadth-first search over the moves is the second
+oracle, for random pairs on more labels.
 """
 
 import random
@@ -10,6 +12,7 @@ from collections import deque
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tca_lab.errors import IndexTooSmallError, SearchBudgetExceededError
 from tca_lab.matchings import (
@@ -289,6 +292,119 @@ def test_bfs_decisions_agree_with_closure():
         a, b = UNIVERSE[u], UNIVERSE[v]
         assert leq_type1(a, b) == bool(REACH_GROWTH[u] >> v & 1)
         assert leq_full(a, b) == bool(REACH_FULL[u] >> v & 1)
+
+
+def test_leq_type1_agrees_with_closure_on_every_pair():
+    for u, a in enumerate(UNIVERSE):
+        reach = REACH_GROWTH[u]
+        for v, b in enumerate(UNIVERSE):
+            assert leq_type1(a, b) == bool(reach >> v & 1), (a, b)
+
+
+def test_growth_witnesses_replay_on_every_comparable_pair():
+    """Every growth-comparable pair is decided by the injection, whose
+    witness must replay exactly onto the target."""
+    for u, a in enumerate(UNIVERSE):
+        reach = REACH_GROWTH[u]
+        for v, b in enumerate(UNIVERSE):
+            if reach >> v & 1:
+                ok, wit = leq_full(a, b, witness=True)
+                assert ok and replay(a, wit) == b, (a, b)
+
+
+def test_move_images_are_canonical_matchings():
+    for g in UNIVERSE:
+        for mv, img in type1_moves(g, 9) + type2_moves(g):
+            assert img == matching(img), (g, mv)
+
+
+def _oracle_reach(a, b, swaps):
+    """Plain breadth-first search over the moves.  Labels above max(b) never
+    come back down and no move lowers the edge count or the label sum, so
+    those three bound the search."""
+    bound, size, total = max_vertex(b), len(b), label_sum(b)
+    seen = {a}
+    queue = deque([a])
+    while queue:
+        g = queue.popleft()
+        if g == b:
+            return True
+        moves = type1_moves(g, bound) + (type2_moves(g) if swaps else [])
+        for _, img in moves:
+            if img not in seen and len(img) <= size and label_sum(img) <= total:
+                seen.add(img)
+                queue.append(img)
+    return False
+
+
+def oracle_growth_reach(a, b):
+    return _oracle_reach(a, b, swaps=False)
+
+
+def oracle_full_reach(a, b):
+    return _oracle_reach(a, b, swaps=True)
+
+
+def test_bfs_oracles_agree_with_closure():
+    rng = random.Random(5)
+    n = len(UNIVERSE)
+    for _ in range(200):
+        u, v = rng.randrange(n), rng.randrange(n)
+        a, b = UNIVERSE[u], UNIVERSE[v]
+        assert oracle_growth_reach(a, b) == bool(REACH_GROWTH[u] >> v & 1)
+        assert oracle_full_reach(a, b) == bool(REACH_FULL[u] >> v & 1)
+
+
+# Matchings with at most 4 edges on labels 1..10.
+SMALL_MATCHINGS = st.lists(st.integers(1, 10), unique=True, max_size=8).map(
+    lambda labels: matching(zip(labels[::2], labels[1::2])))
+
+
+@st.composite
+def walks(draw):
+    """A matching and the end of a short random walk of moves from it, so
+    that comparable pairs are common."""
+    a = g = draw(SMALL_MATCHINGS)
+    for _ in range(draw(st.integers(0, 6))):
+        options = [img for _, img in type1_moves(g, 10) + type2_moves(g)
+                   if len(img) <= 4]
+        if not options:
+            break
+        g = options[draw(st.integers(0, len(options) - 1))]
+    return a, g
+
+
+def check_against_oracles(a, b):
+    assert leq_type1(a, b) == oracle_growth_reach(a, b)
+    ok, wit = leq_full(a, b, witness=True)
+    assert ok == oracle_full_reach(a, b)
+    if ok:
+        assert replay(a, wit) == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(SMALL_MATCHINGS, SMALL_MATCHINGS)
+def test_orders_agree_with_bfs_oracles_on_random_pairs(a, b):
+    check_against_oracles(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(walks())
+def test_orders_agree_with_bfs_oracles_on_random_walks(pair):
+    check_against_oracles(*pair)
+
+
+def test_growth_order_far_apart():
+    """A growth-comparable pair whose breadth-first search is expensive: the
+    injection decides it and its witness replays."""
+    a = matching([(1, 2), (3, 4), (5, 6)])
+    b = matching([(7, 9), (10, 12), (11, 14), (13, 15)])
+    assert leq_type1(a, b)
+    ok, wit = leq_full(a, b, witness=True)
+    assert ok and replay(a, wit) == b
+    assert [fmt_move(m) for m in wit if m.kind == "add_edge"] == [
+        "add_edge (11,14)"]
+    assert not leq_type1(b, a) and not leq_full(b, a)
 
 
 def test_fuzz_moves_preserve_matching_shape():
