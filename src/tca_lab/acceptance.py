@@ -19,7 +19,7 @@ from . import matchings, torlab
 from .algebra import (EquivariantIdeal, VariableSystem, indicator_weight,
                       monomials_of_weight, verify_move_closure,
                       ideal_contains_isotypic)
-from .errors import DegreeOverflowError, SearchBudgetExceededError
+from .errors import SearchBudgetExceededError
 from .matchings import fmt_colored_set, fmt_matching, fmt_move
 from .partitions import (algebra_closed_formula, contains, decompose_algebra,
                          decompose_into_schur, fmt_partition, partitions_upto)
@@ -323,8 +323,6 @@ def run_all(seed, budget=None):
         try:
             verdict, detail = fn(rep, seed, budget)
         except SearchBudgetExceededError as exc:
-            verdict, detail = INCONCLUSIVE, str(exc)
-        except DegreeOverflowError as exc:
             verdict, detail = INCONCLUSIVE, str(exc)
         rep.check(f"criterion {number} ({slug})", verdict, detail)
     return rep

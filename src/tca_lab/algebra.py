@@ -17,9 +17,11 @@ the derivation action produces from them.  Graded pieces are computed one
 weight at a time, which keeps every matrix small: the weight-w slice of
 degree d is spanned by (monomial of weight w-w') * (generator component of
 weight w').  For ideals generated by a single highest-weight vector the
-needed generator slices are produced on demand by applying ordered products
-of lowering operators (a Poincare-Birkhoff-Witt spanning set), so the full
-generating representation is never materialized.
+needed generator slices are produced on demand, so the full generating
+representation is never materialized: a label permutation carries the
+slice at the dominant weight sort(w) onto the slice at w, and the slice at
+a dominant weight is the span of the simple lowering operators applied to
+the slices one simple root higher.
 
 Initial data: a vector of "admissible" weight (every coordinate 0 or 1) is
 supported on squarefree monomials with all indices distinct, i.e. on
@@ -36,11 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 
-from .errors import DegreeOverflowError, ZeroVectorError
-from .partitions import partitions_of, poly_add
+from .errors import ZeroVectorError
+from .partitions import flavor_variables, poly_add
 from .matchings import (
     colored_key,
     colored_set,
@@ -69,14 +70,9 @@ class VariableSystem:
             raise ValueError("rank must be positive")
 
     def variables(self):
-        n = self.rank
-        if self.flavor == "symmetric":
-            return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-        if self.flavor == "antisymmetric":
-            return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        if self.flavor == "generic":
-            return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-        return [(c, i) for c in (0, 1) for i in range(1, n + 1)]
+        if self.flavor == "degree_one":
+            return [(c, i) for c in (0, 1) for i in range(1, self.rank + 1)]
+        return flavor_variables(self.flavor, self.rank)
 
     def canonical(self, i, j):
         """Store an index pair, returning (variable, sign); sign 0 kills it."""
@@ -252,6 +248,15 @@ class Span:
 
     def vectors(self):
         return list(self.rows.values())
+
+    def reduced_vectors(self):
+        """Reduced echelon basis: each pivot minus its normal form."""
+        out = []
+        for m in self.rows:
+            row = {k: -c for k, c in self.reduce({m: 1}).items()}
+            row[m] = Fraction(1)
+            out.append(row)
+        return out
 
 
 def rep_closure(system, gens):
@@ -456,22 +461,13 @@ def highest_weight_vector(system, lam):
     """
     if block_vanishes(system, lam):
         raise ValueError(f"block {lam} vanishes at rank {system.rank}")
-    out = {(): Fraction(1)}
     if system.flavor == "antisymmetric":
-        for part in lam:
-            factor = corner_pfaffian(system, 2 * part)
-            new = {}
-            for m, c in out.items():
-                for m2, c2 in factor.items():
-                    poly_add(new, {tuple(sorted(m + m2)): c * c2})
-            out = new
-        return out
-    heights = []
-    if lam:
-        for j in range(lam[0]):
-            heights.append(sum(1 for part in lam if part > j))
-    for k in heights:
-        factor = corner_minor(system, k)
+        factors = [corner_pfaffian(system, 2 * part) for part in lam]
+    else:
+        factors = [corner_minor(system, sum(1 for part in lam if part > j))
+                   for j in range(max(lam, default=0))]
+    out = {(): Fraction(1)}
+    for factor in factors:
         new = {}
         for m, c in out.items():
             for m2, c2 in factor.items():
@@ -499,170 +495,83 @@ def hw_weight(system, lam):
 
 
 # ---------------------------------------------------------------------------
-# Lowering-operator spanning sets (used by lazily generated ideals).
+# Weight slices of one isotypic block (used by lazily generated ideals):
+# relabelled from dominant weights, which are lowered by simple roots.
 
 
-def _root_multisets(delta):
-    """All multisets of moves a->b (a<b) whose total transfer is ``delta``.
+def lowerings_from(system, hwv, w_high, w_target, cache=None):
+    """Basis of the weight-``w_target`` slice of the subrepresentation
+    generated by the highest weight vector ``hwv`` of weight ``w_high``,
+    for the three matrix flavors.
 
-    ``delta[a]`` units must leave slot a toward strictly larger slots; a
-    multiset is encoded as a sorted tuple of (a, b) pairs, 0-indexed.
+    The slice is relabelled from the one at the dominant weight
+    ``sort(w_target)`` (rows and columns sorted separately for the generic
+    system).  Dominant slices are memoised in ``cache``, which must belong
+    to this ``hwv``, and stored as reduced echelon bases.
     """
-    n = len(delta)
-    out = []
-    acc = []
-
-    def rec(a, rem):
-        if a == n - 1:
-            if rem[a] == 0:
-                out.append(tuple(acc))
-            return
-        need = rem[a]
-        if need < 0:
-            return
-
-        def give(b, left, rem2):
-            if b == n:
-                if left == 0:
-                    rec(a + 1, rem2)
-                return
-            for k in range(left + 1):
-                if k:
-                    acc.extend([(a, b)] * k)
-                nxt = list(rem2)
-                nxt[b] += k
-                give(b + 1, left - k, nxt)
-                for _ in range(k):
-                    acc.pop()
-
-        give(a + 1, need, list(rem))
-
-    rec(0, list(delta))
-    return out
-
-
-def lowerings_from(system, hwv, w_high, w_target):
-    """Spanning vectors of the weight-``w_target`` slice of the cyclic
-    subrepresentation generated by ``hwv`` of weight ``w_high``."""
+    if cache is None:
+        cache = {}
     if system.flavor == "generic":
-        dr = tuple(a - b for a, b in zip(w_high[0], w_target[0]))
-        dc = tuple(a - b for a, b in zip(w_high[1], w_target[1]))
-        if sum(dr) != 0 or sum(dc) != 0:
-            return []
-        vectors = []
-        for rows in _root_multisets(dr):
-            v1 = hwv
-            for a, b in rows:
-                v1 = lie_act(system, b + 1, a + 1, v1, side="row")
-                if not v1:
-                    break
-            if not v1:
-                continue
-            for cols in _root_multisets(dc):
-                v2 = v1
-                for a, b in cols:
-                    v2 = lie_act(system, b + 1, a + 1, v2, side="col")
-                    if not v2:
-                        break
-                if v2:
-                    vectors.append(v2)
-        return vectors
-    delta = tuple(a - b for a, b in zip(w_high, w_target))
-    if sum(delta) != 0:
-        return []
-    vectors = []
-    for moves in _root_multisets(delta):
-        v = hwv
-        for a, b in moves:
-            v = lie_act(system, b + 1, a + 1, v)
-            if not v:
-                break
-        if v:
-            vectors.append(v)
-    return vectors
-
-
-# ---------------------------------------------------------------------------
-# Squarefree slices of single isotypic blocks, via the transposition class
-# sum.  On the span of squarefree monomials with a fixed even support, the
-# sum T of all label transpositions acts with one eigenvalue per isotypic
-# block (the content sum of the block's doubled label), so the slice of one
-# block is an exact eigenspace ker(T - c).  This replaces chains of lowering
-# operators, which blow up combinatorially on low weights like (1,...,1).
-
-
-def _content_sum(shape):
-    return sum(j - i for i, row in enumerate(shape) for j in range(row))
-
-
-def _perfect_matchings(size):
-    """All perfect matchings of {1..size} as sorted (min,max)-pair tuples."""
-
-    def build(avail):
-        if not avail:
-            yield ()
-            return
-        a = avail[0]
-        for pos in range(1, len(avail)):
-            b = avail[pos]
-            rest = avail[1:pos] + avail[pos + 1:]
-            for sub in build(rest):
-                yield ((a, b),) + sub
-
-    return sorted(tuple(sorted(g)) for g in build(tuple(range(1, size + 1))))
-
-
-@lru_cache(maxsize=None)
-def _block_slice_cached(flavor, lam):
-    """Squarefree slice of the isotypic block ``lam`` on support {1..2|lam|},
-    as monomial-keyed vectors, or None when the eigenvalue is ambiguous."""
-    m = sum(lam)
-    doubled = {tuple(mu): _content_sum(tuple(2 * p for p in mu))
-               for mu in partitions_of(m)}
-    c = doubled[tuple(lam)]
-    if sum(1 for v in doubled.values() if v == c) > 1:
-        return None
-    if flavor == "antisymmetric":
-        c = -c
-    size = 2 * m
-    pms = _perfect_matchings(size)
-    index = {g: i for i, g in enumerate(pms)}
-    n = len(pms)
-    mat = [[0] * n for _ in range(n)]
-    for a in range(1, size + 1):
-        for b in range(a + 1, size + 1):
-            for col, g in enumerate(pms):
-                sign = 1
-                edges = []
-                for i, j in g:
-                    ii = b if i == a else (a if i == b else i)
-                    jj = b if j == a else (a if j == b else j)
-                    if ii > jj:
-                        ii, jj = jj, ii
-                        if flavor == "antisymmetric":
-                            sign = -sign
-                    edges.append((ii, jj))
-                mat[index[tuple(sorted(edges))]][col] += sign
-    for i in range(n):
-        mat[i][i] -= c
-    mat = [[Fraction(v) for v in row] for row in mat]
-    return tuple(
-        {pms[i]: x for i, x in enumerate(vec) if x}
-        for vec in _nullspace(mat, n)
-    )
-
-
-def _relabel_support(vectors, support):
-    """Push vectors on {1..2m} onto an arbitrary sorted support (monotone
-    relabelling, so canonical edge forms are preserved sign-free)."""
-    labels = sorted(support)
+        rows, dom_rows = _sort_labels(w_target[0])
+        cols, dom_cols = _sort_labels(w_target[1])
+        dominant = (dom_rows, dom_cols)
+    else:
+        rows, dominant = _sort_labels(w_target)
+        cols = rows
+    basis = cache.get(dominant)
+    if basis is None:
+        basis = cache[dominant] = _dominant_slice(
+            system, hwv, w_high, dominant, cache)
+    if dominant == w_target:
+        return basis
     out = []
-    for v in vectors:
-        out.append({
-            tuple(sorted((labels[i - 1], labels[j - 1]) for i, j in mono)): c
-            for mono, c in v.items()
-        })
+    for vec in basis:
+        moved = {}
+        for mono, c in vec.items():
+            new = []
+            for i, j in mono:
+                var, sign = system.canonical(rows[i], cols[j])
+                new.append(var)
+                c *= sign
+            moved[tuple(sorted(new))] = c
+        out.append(moved)
     return out
+
+
+def _sort_labels(w):
+    """Descending sort of a weight, with the label map that carries each
+    sorted slot (1-based; entry 0 unused) back to its original slot."""
+    order = sorted(range(len(w)), key=lambda i: -w[i])
+    return (0,) + tuple(i + 1 for i in order), tuple(w[i] for i in order)
+
+
+def _dominant_slice(system, hwv, w_high, dominant, cache):
+    """Slice at a dominant weight: ``[hwv]`` at the top, empty unless
+    ``w_high - dominant`` is a nonnegative sum of simple roots, otherwise
+    the span of act(a+1, a) on the slices one simple root higher."""
+    if dominant == w_high:
+        return [hwv]
+    if system.flavor == "generic":
+        pairs = ((dominant[0], w_high[0]), (dominant[1], w_high[1]))
+    else:
+        pairs = ((dominant, w_high),)
+    for low, high in pairs:
+        if sum(low) != sum(high) or any(
+                x > y for x, y in zip(accumulate(low), accumulate(high))):
+            return []
+    span = Span()
+    for (low, _), side in zip(pairs, system.sides()):
+        for a in range(1, system.rank):
+            if not low[a]:
+                continue
+            up = low[:a - 1] + (low[a - 1] + 1, low[a] - 1) + low[a + 1:]
+            if side == "row":
+                up = (up, dominant[1])
+            elif side == "col":
+                up = (dominant[0], up)
+            for vec in lowerings_from(system, hwv, w_high, up, cache):
+                span.add(lie_act(system, a + 1, a, vec, side))
+    return span.reduced_vectors()
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +584,8 @@ class EquivariantIdeal:
     Two construction paths share this class: ``from_generators``
     materializes the stable span of the given generators once, while
     ``isotypic`` keeps a single highest weight vector and produces any
-    required weight slice of its subrepresentation on demand.
+    required weight slice of its subrepresentation on demand, through
+    :func:`lowerings_from`.
     """
 
     def __init__(self, system, label=""):
@@ -683,10 +593,9 @@ class EquivariantIdeal:
         self.label = label
         self._gen_slices = None      # degree -> weight -> list of vectors
         self._hw = None              # (hwv, degree, weight) when lazy
-        self._lam = None             # isotypic label when lazy
-        self._lazy_cache = {}
+        self._lazy_cache = {}        # (degree, weight) -> slice, when lazy
+        self._dominant_cache = {}    # dominant weight -> slice, when lazy
         self._component_cache = {}
-        self.max_degree = None
 
     # -- construction -----------------------------------------------------
 
@@ -713,7 +622,6 @@ class EquivariantIdeal:
         hwv = highest_weight_vector(system, lam)
         mono = next(iter(hwv))
         ideal._hw = (hwv, len(mono), system.weight(mono))
-        ideal._lam = lam
         return ideal
 
     # -- generator slices ---------------------------------------------------
@@ -731,40 +639,15 @@ class EquivariantIdeal:
                 return []
             key = (d, w)
             if key not in self._lazy_cache:
-                vectors = self._squarefree_gen_slice(d, w)
-                if vectors is None:
-                    span = Span()
-                    for vec in lowerings_from(self.system, hwv, hwt, w):
-                        span.add(vec)
-                    vectors = span.vectors()
-                self._lazy_cache[key] = vectors
+                self._lazy_cache[key] = lowerings_from(
+                    self.system, hwv, hwt, w, self._dominant_cache)
             return self._lazy_cache[key]
         return self._gen_slices.get(d, {}).get(w, [])
-
-    def _squarefree_gen_slice(self, d, w):
-        """Fast path for 0/1 weights of lazy isotypic ideals; None = no path."""
-        if self._lam is None or self.system.flavor not in MATCHING_FLAVORS:
-            return None
-        if any(x not in (0, 1) for x in w):
-            return None
-        support = tuple(i + 1 for i, x in enumerate(w) if x)
-        if len(support) != 2 * d:
-            return []
-        block = _block_slice_cached(self.system.flavor, self._lam)
-        if block is None:
-            return None
-        span = Span()
-        for vec in _relabel_support(block, support):
-            span.add(vec)
-        return span.vectors()
 
     # -- graded pieces ------------------------------------------------------
 
     def component_span(self, d, w):
         """Echelonized degree-d, weight-w slice of the ideal."""
-        if self.max_degree is not None and d > self.max_degree:
-            raise DegreeOverflowError(
-                f"degree {d} beyond configured bound {self.max_degree}")
         key = (d, w)
         if key in self._component_cache:
             return self._component_cache[key]
@@ -809,7 +692,7 @@ class EquivariantIdeal:
         return True
 
 
-def ideal_contains_isotypic(ideal, mu, d_bound=None):
+def ideal_contains_isotypic(ideal, mu):
     """Whether the whole isotypic block labelled ``mu`` sits in the ideal.
 
     Graded pieces of the ideal are stable under the derivation action, so
@@ -823,11 +706,7 @@ def ideal_contains_isotypic(ideal, mu, d_bound=None):
         return True
     hwv = highest_weight_vector(system, tuple(mu))
     mono = next(iter(hwv))
-    d = len(mono)
-    if d_bound is not None and d > d_bound:
-        raise DegreeOverflowError(
-            f"block {tuple(mu)} lives in degree {d}, beyond bound {d_bound}")
-    return ideal.component_span(d, system.weight(mono)).contains(hwv)
+    return ideal.component_span(len(mono), system.weight(mono)).contains(hwv)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ determinantal ideal (the algebra's own rank comes from ``--nrange``);
 everywhere else it is the number of variables per row, i.e. the rank of
 the acting group.
 
-Exit codes: 0 every check passed, 2 some check failed, 3 a search or
-degree budget was exhausted before a verdict, 4 malformed input.  The
+Exit codes: 0 every check passed, 2 some check failed, 3 a search
+budget was exhausted before a verdict, 4 malformed input.  The
 environment variable TCA_LAB_BUDGET overrides the default search budget;
 an explicit ``--budget`` wins over both.
 """
@@ -27,8 +27,7 @@ from . import algebra, matchings, torlab
 from .acceptance import run_all, sandbox_ideals
 from .algebra import (EquivariantIdeal, VariableSystem, block_vanishes,
                       ideal_contains_isotypic)
-from .errors import (DegreeOverflowError, ParseError, SearchBudgetExceededError,
-                     TcaLabError)
+from .errors import ParseError, SearchBudgetExceededError, TcaLabError
 from .ideal_io import format_poly, load_ideal_file, parse_matching
 from .matchings import fmt_colored_set, fmt_matching, fmt_move
 from .partitions import (algebra_closed_formula, contains, decompose_algebra,
@@ -319,15 +318,12 @@ def _ideal_move_closure(rep, args):
 
 def cmd_ideal(args):
     rep = Report("ideal " + args.subtask)
-    try:
-        if args.subtask == "lattice":
-            _ideal_lattice(rep, args)
-        elif args.subtask == "initial-set":
-            _ideal_initial_set(rep, args)
-        else:
-            _ideal_move_closure(rep, args)
-    except DegreeOverflowError as exc:
-        rep.check("degree-bound", INCONCLUSIVE, str(exc))
+    if args.subtask == "lattice":
+        _ideal_lattice(rep, args)
+    elif args.subtask == "initial-set":
+        _ideal_initial_set(rep, args)
+    else:
+        _ideal_move_closure(rep, args)
     return rep
 
 
@@ -343,11 +339,7 @@ def cmd_tor(args):
     rep = Report("tor", config={"flavor": args.flavor, "rank_bound": r,
                                 "pmax": p_max, "qmax": q_max,
                                 "nrange": ",".join(map(str, ns))})
-    try:
-        stab = torlab.stabilization_report(args.flavor, r, p_max, q_max, ns)
-    except DegreeOverflowError as exc:
-        rep.check("degree-bound", INCONCLUSIVE, str(exc))
-        return rep
+    stab = torlab.stabilization_report(args.flavor, r, p_max, q_max, ns)
     for n in ns:
         spec = torlab.DeterminantalIdealSpec(args.flavor, n, min(r, n))
         rep.line(spec.describe())

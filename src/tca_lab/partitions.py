@@ -376,7 +376,8 @@ def decompose_pair_into_schur(p, n, allow_negative=False) -> CharacterTable:
 # Degree components of the three algebras.
 
 
-def _flavor_variables(flavor, n):
+def flavor_variables(flavor, n):
+    """Stored variables x[i,j] of a matrix flavor at rank ``n``."""
     if flavor == "symmetric":
         return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
     if flavor == "antisymmetric":
@@ -393,7 +394,7 @@ def decompose_algebra(flavor, d, n) -> CharacterTable:
         raise ValueError(f"unknown flavor {flavor!r}")
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    variables = _flavor_variables(flavor, n)
+    variables = flavor_variables(flavor, n)
     if flavor == "generic":
         char = {}
         for combo in combinations_with_replacement(variables, d):

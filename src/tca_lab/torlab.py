@@ -259,12 +259,6 @@ def _dominant_weights(system, q):
             for lam in partitions_of(2 * q, max_rows=n)]
 
 
-def _sort_weight(system, w):
-    if system.flavor == "generic":
-        return (tuple(sorted(w[0], reverse=True)), tuple(sorted(w[1], reverse=True)))
-    return tuple(sorted(w, reverse=True))
-
-
 def tor_table(source, p_max, q_max, *, sample_check_seed=None):
     """Tor character tables of A/I for p <= p_max, q <= q_max.
 

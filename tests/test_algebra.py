@@ -18,11 +18,11 @@ from tca_lab.algebra import (
     VariableSystem,
     admissible_component,
     all_ops,
+    block_vanishes,
     highest_weight_vector,
     hw_weight,
     ideal_admissible_component,
     ideal_contains_isotypic,
-    indicator_weight,
     initial_matching,
     initial_set,
     lie_act,
@@ -37,7 +37,7 @@ from tca_lab.algebra import (
     verify_move_closure,
     weight_split,
 )
-from tca_lab.errors import DegreeOverflowError, ZeroVectorError
+from tca_lab.errors import ZeroVectorError
 from tca_lab.matchings import fmt_matching, leq_full, matching
 from tca_lab.partitions import contains, decompose_algebra, partitions_upto
 
@@ -211,8 +211,6 @@ def test_containment_fixtures():
     # blocks that vanish at this rank count as contained
     assert ideal_contains_isotypic(
         EquivariantIdeal.isotypic(SYM2, (1,)), (1, 1, 1))
-    with pytest.raises(DegreeOverflowError):
-        ideal_contains_isotypic(i1, (3,), d_bound=2)
 
 
 def test_admissible_component_fixtures():
@@ -326,35 +324,48 @@ def test_equal_initial_sets_come_from_equal_ideals_small():
     assert sets["block-(2)"] != sets["block-(1,1)"]
 
 
-def test_degree_overflow_guard():
-    ideal = EquivariantIdeal.isotypic(SYM4, (1,))
-    ideal.max_degree = 2
-    with pytest.raises(DegreeOverflowError):
-        ideal.component_span(3, (2, 2, 1, 1))
-
-
-def test_spectral_and_lowering_paths_agree():
-    """Squarefree slices of lazy block ideals have a cached fast path; it
-    must match the direct lowering computation."""
-    for flavor in ("symmetric", "antisymmetric"):
-        rank = 6 if flavor == "antisymmetric" else 5
+def test_lowerings_match_the_closure_oracle():
+    """Every weight slice from relabelled dominant slices and simple
+    lowerings equals the weight piece of the block's full closure."""
+    for flavor, rank in (("symmetric", 4), ("antisymmetric", 4),
+                         ("antisymmetric", 5), ("generic", 3)):
         system = VariableSystem(flavor, rank)
-        for lam in ((2,), (1, 1)):
-            ideal = EquivariantIdeal.isotypic(system, lam)
-            hwv, hd, hwt = ideal._hw
-            for support in ((1, 2, 3, 4), (2, 3, 4, 5)):
-                w = indicator_weight(rank, support)
-                fast = ideal._squarefree_gen_slice(hd, w)
-                slow = Span()
-                for vec in lowerings_from(system, hwv, hwt, w):
-                    slow.add(vec)
-                assert fast is not None
+        for lam in partitions_upto(3):
+            if not lam or block_vanishes(system, lam):
+                continue
+            hwv = highest_weight_vector(system, lam)
+            w_high = hw_weight(system, lam)
+            pieces = {}
+            for vec in rep_closure(system, [hwv]):
+                pieces.setdefault(system.weight(next(iter(vec))), []).append(vec)
+            cache = {}
+            weights = {system.weight(m)
+                       for m in monomials_of_degree(system, sum(lam))}
+            for w in weights:
                 got = Span()
-                for vec in fast:
-                    got.add(vec)
-                assert got.rank == slow.rank
-                for vec in slow.vectors():
-                    assert got.contains(vec)
+                for vec in lowerings_from(system, hwv, w_high, w, cache):
+                    assert got.add(vec) is not None, (flavor, lam, w)
+                oracle = pieces.get(w, [])
+                assert got.rank == len(oracle), (flavor, lam, w)
+                assert all(got.contains(vec) for vec in oracle)
+
+
+def test_reduced_vectors_are_a_reduced_echelon_basis():
+    system = VariableSystem("antisymmetric", 5)
+    span = Span()
+    for vec in rep_closure(system, [highest_weight_vector(system, (1, 1))]):
+        span.add(vec)
+    reduced = span.reduced_vectors()
+    assert len(reduced) == span.rank
+    again = Span()
+    for row in reduced:
+        again.add(row)
+    assert again.rank == span.rank
+    assert all(again.contains(vec) for vec in span.vectors())
+    pivots = set(span.pivots())
+    for row in reduced:
+        held = [m for m in row if m in pivots]
+        assert len(held) == 1 and row[held[0]] == 1
 
 
 def test_antisymmetric_initial_sets():
