@@ -596,6 +596,7 @@ class EquivariantIdeal:
         self._lazy_cache = {}        # (degree, weight) -> slice, when lazy
         self._dominant_cache = {}    # dominant weight -> slice, when lazy
         self._component_cache = {}
+        self._monomial_cache = {}    # (degree, weight) -> monomials_of_weight
 
     # -- construction -----------------------------------------------------
 
@@ -667,7 +668,11 @@ class EquivariantIdeal:
                 gens = self.gen_weight_slice(e, gw)
                 if not gens:
                     continue
-                for mono in monomials_of_weight(self.system, rem, mw):
+                monos = self._monomial_cache.get((rem, mw))
+                if monos is None:
+                    monos = monomials_of_weight(self.system, rem, mw)
+                    self._monomial_cache[(rem, mw)] = monos
+                for mono in monos:
                     for g in gens:
                         span.add(mono_mul_poly(mono, g))
         self._component_cache[key] = span

@@ -54,7 +54,8 @@ def _budget(args):
 
 
 def parse_nrange(text):
-    """``a..b`` (inclusive), a comma list, or a single integer."""
+    """``a..b`` (inclusive), a strictly increasing comma list, or a single
+    integer."""
     text = text.strip()
     try:
         if ".." in text:
@@ -64,10 +65,14 @@ def parse_nrange(text):
                 raise ValueError
             return tuple(range(lo, hi + 1))
         if "," in text:
-            return tuple(int(x) for x in text.split(","))
-        return (int(text),)
+            ns = tuple(int(x) for x in text.split(","))
+        else:
+            ns = (int(text),)
     except ValueError:
         raise ParseError(f"cannot read a rank range from {text!r}")
+    if any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ParseError(f"ranks in {text!r} must be strictly increasing")
+    return ns
 
 
 # ---------------------------------------------------------------------------

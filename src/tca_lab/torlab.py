@@ -10,6 +10,14 @@ small exact-rational elimination problem; homology dimensions are computed
 at dominant weights only and the full character is recovered by symmetry,
 then split into irreducible labels.
 
+Each KoszulComplex keeps its own caches, built lazily and dropped with it:
+the quotient bases per (degree, weight), the p-subsets of variables grouped
+by weight (so a chain basis splits the weight once per group instead of
+testing every subset), and the normal form of every monomial reduced so
+far, with integral coefficients stored as ``int`` so that the differential
+mostly multiplies ``int``.  The ideal memoises its monomial enumerations the
+same way.  Nothing is cached at module level.
+
 Conventions baked into reports: internal degree q is the total degree
 (the exterior factor counts 1 per variable); alternating-form rank bounds
 are even, so rank <= r is cut out by Pfaffians of size r+2 for even r and
@@ -19,7 +27,6 @@ r+1 for odd r.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from random import Random
 
@@ -121,8 +128,9 @@ class KoszulComplex:
         self.p_max = p_max
         self.q_max = q_max
         self.variables = system.variables()
-        self._var_weight = {v: system.weight((v,)) for v in self.variables}
         self._quotient_cache = {}
+        self._wedge_cache = {}       # p -> {weight: p-subsets of that weight}
+        self._normal_forms = {}      # monomial -> normal form modulo I
 
     # -- quotient bases -----------------------------------------------------
 
@@ -140,10 +148,18 @@ class KoszulComplex:
         return cached
 
     def _normal_form(self, mono):
-        d = len(mono)
-        w = self.system.weight(mono)
-        _, span = self.quotient_basis(d, w)
-        return span.reduce({mono: Fraction(1)})
+        """Normal form of a monomial modulo I, memoised; shared, never mutated.
+
+        Integral coefficients are stored as ``int`` so that most of the
+        arithmetic in :meth:`apply_diff` stays on ``int``.
+        """
+        nf = self._normal_forms.get(mono)
+        if nf is None:
+            _, span = self.quotient_basis(len(mono), self.system.weight(mono))
+            nf = {m: (c.numerator if c.denominator == 1 else c)
+                  for m, c in span.reduce({mono: 1}).items()}
+            self._normal_forms[mono] = nf
+        return nf
 
     # -- chain spaces and differential ---------------------------------------
 
@@ -152,18 +168,23 @@ class KoszulComplex:
         if p < 0 or q - p < 0:
             return []
         out = []
-        for T in combinations(self.variables, p):
-            wt = None
-            rem = w
-            for v in T:
-                rem = weight_subtract(self.system, rem, self._var_weight[v])
-                if rem is None:
-                    break
+        for tw, subsets in self._wedge_groups(p).items():
+            rem = weight_subtract(self.system, w, tw)
             if rem is None:
                 continue
             monos, _ = self.quotient_basis(q - p, rem)
-            out.extend((T, m) for m in monos)
+            out.extend((T, m) for T in subsets for m in monos)
         return out
+
+    def _wedge_groups(self, p):
+        """The p-subsets of variables, grouped by weight (built once per p)."""
+        groups = self._wedge_cache.get(p)
+        if groups is None:
+            groups = {}
+            for T in combinations(self.variables, p):
+                groups.setdefault(self.system.weight(T), []).append(T)
+            self._wedge_cache[p] = groups
+        return groups
 
     def apply_diff(self, vec):
         """One Koszul differential step on a chain vector."""
@@ -194,7 +215,7 @@ class KoszulComplex:
         for p in range(1, P + 2):
             span = Span()
             for x in bases[p]:
-                img = self.apply_diff({x: Fraction(1)})
+                img = self.apply_diff({x: 1})
                 if p >= 2:
                     again = self.apply_diff(img)
                     assert not again, f"differential does not square to zero at p={p}"
@@ -358,21 +379,22 @@ def stabilization_report(flavor, rank_bound, p_max, q_max, n_range):
     for n in n_range:
         spec = DeterminantalIdealSpec(flavor, n, min(rank_bound, n))
         tables[n] = tor_table(spec, p_max, q_max)
+    entries = {n: t.as_dict() for n, t in tables.items()}
     cells = set()
-    for t in tables.values():
-        cells.update(t.cells())
+    for e in entries.values():
+        cells.update(e)
     first_stable = {}
     for pq in sorted(cells):
         first = None
         for i, n in enumerate(n_range):
-            here = tables[n].as_dict().get(pq, {})
-            if all(tables[m].as_dict().get(pq, {}) == here for m in n_range[i:]):
+            here = entries[n].get(pq, {})
+            if all(entries[m].get(pq, {}) == here for m in n_range[i:]):
                 first = n
                 break
         # a cell that only the last rank can see never gets confirmation
         if first == n_range[-1] and len(n_range) > 1:
-            prev = tables[n_range[-2]].as_dict().get(pq, {})
-            if prev != tables[n_range[-1]].as_dict().get(pq, {}):
+            prev = entries[n_range[-2]].get(pq, {})
+            if prev != entries[n_range[-1]].get(pq, {}):
                 first = None
         first_stable[pq] = first
     return StabilizationReport(

@@ -49,7 +49,7 @@ def test_parse_nrange():
     assert parse_nrange("3,5") == (3, 5)
     assert parse_nrange("4") == (4,)
     assert parse_nrange(" 2..2 ") == (2,)
-    for bad in ("5..3", "x", "", "1..b"):
+    for bad in ("5..3", "x", "", "1..b", "3,3", "4,3", "2,4,3"):
         with pytest.raises(ParseError):
             parse_nrange(bad)
 
@@ -319,6 +319,9 @@ def test_cli_argparse_errors(capsys):
     ("decompose", "--rank", "-1"),
     ("decompose", "--degree", "-2"),
     ("tor", "--pmax", "-1", "--nrange", "2"),
+    ("tor", "--nrange", "3,3"),
+    ("tor", "--nrange", "4,3"),
+    ("poset", "verify-example", "--nrange", "5,4"),
     ("accept", "--budget", "-5"),
 ])
 def test_cli_rejects_out_of_range_numbers(capsys, argv):

@@ -5,8 +5,9 @@ from itertools import combinations, permutations
 
 import pytest
 
-from tca_lab.algebra import (EquivariantIdeal, Span, VariableSystem, poly_add,
-                             rep_closure, term)
+from tca_lab.algebra import (EquivariantIdeal, Span, VariableSystem,
+                             monomials_of_degree, poly_add, rep_closure, term,
+                             weight_subtract)
 from tca_lab.partitions import decompose_into_schur
 from tca_lab.torlab import (
     DeterminantalIdealSpec,
@@ -181,6 +182,129 @@ def test_differential_squares_to_zero():
                 assert not out
                 checked += 1
     assert checked > 0
+
+
+# -- the cached hot loop against the paths it replaced --------------------
+
+# (flavor, largest rank) of the whole small universes checked below
+UNIVERSES = (("symmetric", 4), ("antisymmetric", 4), ("generic", 3))
+P_MAX, Q_MAX = 3, 4
+
+
+def universe(flavor, top):
+    """A Koszul complex for every rank up to ``top`` and every rank bound."""
+    for n in range(1, top + 1):
+        for r in range(n + 1):
+            ideal = determinantal_ideal(DeterminantalIdealSpec(flavor, n, r))
+            yield KoszulComplex(ideal.system, ideal, P_MAX, Q_MAX)
+
+
+def occurring_weights(system, q):
+    return sorted({system.weight(m) for m in monomials_of_degree(system, q)})
+
+
+def oracle_chain_basis(komplex, p, q, w):
+    """Test every p-subset of variables, one weight_subtract per variable."""
+    system = komplex.system
+    if p < 0 or q - p < 0:
+        return []
+    out = []
+    for T in combinations(system.variables(), p):
+        rem = w
+        for v in T:
+            rem = weight_subtract(system, rem, system.weight((v,)))
+            if rem is None:
+                break
+        if rem is None:
+            continue
+        monos, _ = komplex.quotient_basis(q - p, rem)
+        out.extend((T, m) for m in monos)
+    return out
+
+
+def oracle_normal_form(komplex, mono):
+    """An uncached reduction, seeded with a Fraction."""
+    _, span = komplex.quotient_basis(len(mono), komplex.system.weight(mono))
+    return span.reduce({mono: Fraction(1)})
+
+
+def oracle_apply_diff(komplex, vec):
+    out = {}
+    for (T, m), c in vec.items():
+        for t, v in enumerate(T):
+            nf = oracle_normal_form(komplex, tuple(sorted(m + (v,))))
+            for m2, c2 in nf.items():
+                key = (T[:t] + T[t + 1:], m2)
+                out[key] = out.get(key, 0) + (-1) ** t * c * c2
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("flavor,top", UNIVERSES)
+def test_grouped_chain_basis_matches_the_subset_scan(flavor, top):
+    checked = 0
+    for komplex in universe(flavor, top):
+        for q in range(Q_MAX + 1):
+            for w in occurring_weights(komplex.system, q):
+                for p in range(P_MAX + 2):
+                    got = komplex.chain_basis(p, q, w)
+                    assert sorted(got) == sorted(oracle_chain_basis(komplex, p, q, w))
+                    assert len(set(got)) == len(got)
+                    checked += len(got)
+    assert checked > 0
+
+
+@pytest.mark.parametrize("flavor,top", UNIVERSES)
+def test_cached_normal_forms_match_the_uncached_reduction(flavor, top):
+    for komplex in universe(flavor, top):
+        for d in range(Q_MAX + 1):
+            for mono in monomials_of_degree(komplex.system, d):
+                want = oracle_normal_form(komplex, mono)
+                for _ in range(2):      # the miss, then the memo
+                    got = komplex._normal_form(mono)
+                    assert got == want, (komplex.ideal.label, mono)
+                    assert not any(isinstance(c, Fraction) and c.denominator == 1
+                                   for c in got.values())
+
+
+@pytest.mark.parametrize("flavor,top", UNIVERSES)
+def test_repeated_strands_agree_and_leave_the_memo_intact(flavor, top):
+    for komplex in universe(flavor, top):
+        keys = [(q, w) for q in range(Q_MAX + 1)
+                for w in occurring_weights(komplex.system, q)]
+        first = [komplex.strand(q, w) for q, w in keys]
+        memo = {m: dict(nf) for m, nf in komplex._normal_forms.items()}
+        assert [komplex.strand(q, w) for q, w in keys] == first
+        assert komplex._normal_forms == memo
+
+
+@pytest.mark.parametrize("flavor,top", [("symmetric", 3), ("antisymmetric", 4),
+                                        ("generic", 2)])
+def test_strand_ranks_match_a_sympy_rank_oracle(flavor, top):
+    """Each differential as a dense sympy matrix built from the uncached
+    path; sympy's rank against the ranks the strand reports."""
+    import sympy
+
+    matrices = 0
+    for komplex in universe(flavor, top):
+        for q in range(Q_MAX + 1):
+            for w in occurring_weights(komplex.system, q):
+                dims, ranks, _ = komplex.strand(q, w)
+                bases = [oracle_chain_basis(komplex, p, q, w)
+                         for p in range(P_MAX + 2)]
+                assert dims == [len(b) for b in bases[:P_MAX + 1]]
+                for p in range(1, P_MAX + 2):
+                    if not bases[p] or not bases[p - 1]:
+                        assert ranks[p] == 0
+                        continue
+                    row_of = {x: i for i, x in enumerate(bases[p - 1])}
+                    mat = sympy.zeros(len(bases[p - 1]), len(bases[p]))
+                    for j, x in enumerate(bases[p]):
+                        for y, c in oracle_apply_diff(komplex, {x: 1}).items():
+                            mat[row_of[y], j] = sympy.Rational(c.numerator,
+                                                               c.denominator)
+                    assert mat.rank() == ranks[p], (komplex.ideal.label, q, w, p)
+                    matrices += 1
+    assert matrices > 0
 
 
 def test_tor_table_records_are_sorted():
