@@ -8,9 +8,14 @@ Four variable systems share one implementation:
 * ``degree_one``     two families x[i], y[i] ("red"/"blue") moved in lockstep.
 
 A polynomial is a dict mapping monomials to exact coefficients, where a
-monomial is a sorted tuple of stored variables.  The rank-n derivation
-action is ``act(a,b): x[b,...] -> x[a,...]`` extended by the Leibniz rule;
-for the generic system the row and column copies act independently.
+monomial is a sorted tuple of stored variables.  Coefficients are ``int``
+wherever they are integral and ``Fraction`` only where they are not: row
+reduction (:class:`Span`) is fraction-free and stores primitive integer
+rows, so integer vectors stay integer from the generators through the
+derivation action, the ideal slices and the Koszul normal forms.  The
+rank-n derivation action is ``act(a,b): x[b,...] -> x[a,...]`` extended by
+the Leibniz rule; for the generic system the row and column copies act
+independently.
 
 Ideals are generated by finite sets of polynomials together with everything
 the derivation action produces from them.  Graded pieces are computed one
@@ -39,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, combinations_with_replacement
+from math import gcd, lcm
 
 from .errors import ZeroVectorError
 from .partitions import flavor_variables, poly_add
@@ -128,7 +134,7 @@ def term(system, coeff, pairs):
     c = Fraction(coeff) * sign
     if not c:
         return {}
-    return {tuple(sorted(out)): c}
+    return {tuple(sorted(out)): c.numerator if c.denominator == 1 else c}
 
 
 def mono_mul_poly(mono, p):
@@ -200,39 +206,70 @@ def all_ops(system):
 class Span:
     """Row space with echelon pivots under a configurable monomial key.
 
-    Stored rows keep their largest monomial (under the key) as pivot with
-    coefficient 1 and strictly smaller tails, so the pivot set equals the
-    set of leading monomials of the whole row space, and ``reduce``
-    computes the canonical normal form supported on non-pivot monomials.
+    Fraction-free: stored rows are primitive integer vectors (the gcd of
+    their entries divided out) whose largest monomial under the key is the
+    pivot, with a positive coefficient, and whose tails are strictly
+    smaller.  The pivot set equals the set of leading monomials of the
+    whole row space.  Elimination clears the input's denominators once and
+    then cross-multiplies, ``vec = (p/g)*vec - (c/g)*row`` with
+    ``g = gcd(p, c)``, tracking the integer scale this puts on ``vec``, so
+    ``reduce`` still returns the canonical normal form supported on
+    non-pivot monomials: ``int`` where it is integral, ``Fraction`` only
+    where it is not.
     """
 
     def __init__(self, key=None):
-        self._key = key if key is not None else (lambda m: m)
+        self._key = key      # None: compare monomials themselves
         self.rows = {}
 
-    def reduce(self, vec):
-        vec = dict(vec)
+    def _eliminate(self, vec):
+        """(vec, scale): an integer vector and a positive integer whose
+        quotient is the normal form of the input."""
+        scale = 1
+        for c in vec.values():
+            if type(c) is not int:
+                scale = lcm(scale, c.denominator)
+        vec = {k: int(c * scale) for k, c in vec.items() if c}
+        rows = self.rows
         while True:
-            hits = [m for m in vec if m in self.rows]
+            hits = [m for m in vec if m in rows]
             if not hits:
-                return vec
+                return vec, scale
             m = max(hits, key=self._key)
+            row = rows[m]
+            p = row[m]
             c = vec[m]
-            for k, v in self.rows[m].items():
+            g = gcd(p, c)
+            c //= g
+            f = p // g
+            if f != 1:
+                scale *= f
+                for k in vec:
+                    vec[k] *= f
+            for k, v in row.items():
                 nv = vec.get(k, 0) - c * v
                 if nv:
                     vec[k] = nv
                 else:
-                    vec.pop(k, None)
+                    del vec[k]
+
+    def reduce(self, vec):
+        vec, scale = self._eliminate(vec)
+        if scale == 1:
+            return vec
+        return {k: v // scale if v % scale == 0 else Fraction(v, scale)
+                for k, v in vec.items()}
 
     def add(self, vec):
         """Reduce and insert; returns the stored row, or None if dependent."""
-        r = self.reduce(vec)
+        r, _ = self._eliminate(vec)
         if not r:
             return None
         piv = max(r, key=self._key)
-        c = r[piv]
-        row = {k: Fraction(v) / c for k, v in r.items()}
+        g = gcd(*r.values())
+        if r[piv] < 0:
+            g = -g
+        row = {k: v // g for k, v in r.items()} if g != 1 else r
         self.rows[piv] = row
         return row
 
@@ -254,7 +291,7 @@ class Span:
         out = []
         for m in self.rows:
             row = {k: -c for k, c in self.reduce({m: 1}).items()}
-            row[m] = Fraction(1)
+            row[m] = 1
             out.append(row)
         return out
 
@@ -412,7 +449,7 @@ def weight_subtract(system, w, mw):
 def corner_minor(system, k):
     """Determinant of the leading k-by-k block, as a polynomial."""
     if k == 0:
-        return {(): Fraction(1)}
+        return {(): 1}
     out = {}
     from itertools import permutations
 
@@ -437,7 +474,7 @@ def corner_pfaffian(system, k):
 
     def pf(labels):
         if not labels:
-            return {(): Fraction(1)}
+            return {(): 1}
         a = labels[0]
         out = {}
         for t, b in enumerate(labels[1:], start=1):
@@ -466,7 +503,7 @@ def highest_weight_vector(system, lam):
     else:
         factors = [corner_minor(system, sum(1 for part in lam if part > j))
                    for j in range(max(lam, default=0))]
-    out = {(): Fraction(1)}
+    out = {(): 1}
     for factor in factors:
         new = {}
         for m, c in out.items():

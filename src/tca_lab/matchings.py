@@ -466,21 +466,8 @@ def max_antichain(elements, leq):
     n = len(elems)
     succ = [[v for v in range(n)
              if v != u and leq(elems[u], elems[v])] for u in range(n)]
-    match_l = [-1] * n
-    match_r = [-1] * n
-
-    def augment(u, seen):
-        for v in succ[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if match_r[v] == -1 or augment(match_r[v], seen):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        return False
-
-    matched = sum(augment(u, set()) for u in range(n))
+    match_l, match_r = max_matching(succ)
+    matched = n - match_l.count(-1)
     # Koenig: alternating reachability from unmatched left vertices.
     frontier = deque(u for u in range(n) if match_l[u] == -1)
     zl = set(frontier)
@@ -498,6 +485,51 @@ def max_antichain(elements, leq):
     antichain = [elems[i] for i in range(n) if i in zl and i not in zr]
     assert len(antichain) == n - matched
     return antichain, n - matched
+
+
+def max_matching(succ):
+    """Maximum matching of the bipartite graph with edges u -> succ[u], both
+    sides labelled 0..len(succ)-1; returns (match_l, match_r), -1 where
+    unmatched.
+
+    Kuhn's augmenting paths, tried from each left vertex in turn, each one
+    a depth-first search with an explicit stack, so deep alternating paths
+    in universes of thousands of elements never touch the recursion limit.
+    Read as successor links, ``match_l`` is a minimum chain cover.
+    """
+    n = len(succ)
+    match_l = [-1] * n
+    match_r = [-1] * n
+
+    def augment(root):
+        seen = set()
+        path = [root]    # left vertices of the alternating path
+        via = []         # via[k]: the right vertex after path[k]
+        stack = [iter(succ[root])]
+        while stack:
+            for v in stack[-1]:
+                if v in seen:
+                    continue
+                seen.add(v)
+                via.append(v)
+                w = match_r[v]
+                if w == -1:
+                    for u, x in zip(path, via):
+                        match_l[u] = x
+                        match_r[x] = u
+                    return
+                path.append(w)
+                stack.append(iter(succ[w]))
+                break
+            else:
+                stack.pop()
+                path.pop()
+                if via:
+                    via.pop()
+
+    for u in range(n):
+        augment(u)
+    return match_l, match_r
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,18 @@ For an equivariant ideal I in one of the variable systems, the complex
 
 (W = the span of the variables) computes Tor_p(A/I, scalars) in internal
 degree q.  Differentials preserve weight, so every (weight, q) strand is a
-small exact-rational elimination problem; homology dimensions are computed
-at dominant weights only and the full character is recovered by symmetry,
-then split into irreducible labels.
+small exact elimination problem, solved fraction-free by
+:class:`tca_lab.algebra.Span`; homology dimensions are computed at dominant
+weights only and the full character is recovered by symmetry, then split
+into irreducible labels.
 
 Each KoszulComplex keeps its own caches, built lazily and dropped with it:
 the quotient bases per (degree, weight), the p-subsets of variables grouped
 by weight (so a chain basis splits the weight once per group instead of
 testing every subset), and the normal form of every monomial reduced so
-far, with integral coefficients stored as ``int`` so that the differential
-mostly multiplies ``int``.  The ideal memoises its monomial enumerations the
-same way.  Nothing is cached at module level.
+far, as ``Span.reduce`` returns it: ``int`` wherever it is integral, so the
+differential mostly multiplies ``int``.  The ideal memoises its monomial
+enumerations the same way.  Nothing is cached at module level.
 
 Conventions baked into reports: internal degree q is the total degree
 (the exterior factor counts 1 per variable); alternating-form rank bounds
@@ -37,7 +38,7 @@ from .algebra import (
     monomials_of_weight,
     weight_subtract,
 )
-from .errors import NonSymmetricCharacterError
+from .errors import NonSymmetricCharacterError, ParseError
 from .partitions import (
     decompose_into_schur,
     decompose_pair_into_schur,
@@ -150,14 +151,14 @@ class KoszulComplex:
     def _normal_form(self, mono):
         """Normal form of a monomial modulo I, memoised; shared, never mutated.
 
-        Integral coefficients are stored as ``int`` so that most of the
-        arithmetic in :meth:`apply_diff` stays on ``int``.
+        ``Span.reduce`` returns ``int`` coefficients wherever the normal form
+        is integral, so most of the arithmetic in :meth:`apply_diff` stays
+        on ``int``.
         """
         nf = self._normal_forms.get(mono)
         if nf is None:
             _, span = self.quotient_basis(len(mono), self.system.weight(mono))
-            nf = {m: (c.numerator if c.denominator == 1 else c)
-                  for m, c in span.reduce({mono: 1}).items()}
+            nf = span.reduce({mono: 1})
             self._normal_forms[mono] = nf
         return nf
 
@@ -373,8 +374,14 @@ class StabilizationReport:
 
 
 def stabilization_report(flavor, rank_bound, p_max, q_max, n_range):
-    """Compare Tor tables across ranks and locate stabilization points."""
+    """Compare Tor tables across ranks and locate stabilization points.
+
+    Raises ParseError unless ``n_range`` is strictly increasing: a repeated
+    rank would confirm its own stability, a descending one read it backwards.
+    """
     n_range = tuple(n_range)
+    if any(a >= b for a, b in zip(n_range, n_range[1:])):
+        raise ParseError(f"ranks {n_range} must be strictly increasing")
     tables = {}
     for n in n_range:
         spec = DeterminantalIdealSpec(flavor, n, min(rank_bound, n))

@@ -11,8 +11,12 @@ FAIL by design; every other criterion must pass.  The README carries
 the full argument.
 """
 
+import pytest
+
 from tca_lab import cli
 from tca_lab.acceptance import run_all
+
+pytestmark = pytest.mark.slow
 
 PINNED_SEED = 1729
 

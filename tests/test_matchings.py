@@ -38,6 +38,7 @@ from tca_lab.matchings import (
     matching_key,
     matching_leq,
     max_antichain,
+    max_matching,
     max_vertex,
     replay,
     type1_moves,
@@ -543,6 +544,89 @@ def test_max_antichain_on_a_chain_and_an_antichain():
     assert width == 1 and len(got) == 1
     flat, width = max_antichain(chain, lambda a, b: a == b)
     assert width == 4 and sorted(flat) == chain
+
+
+# -- the explicit-stack matching against the recursive search it replaced --
+
+
+def oracle_max_matching(succ):
+    """The recursive augmenting-path search, kept as the reference."""
+    n = len(succ)
+    match_l = [-1] * n
+    match_r = [-1] * n
+
+    def augment(u, seen):
+        for v in succ[u]:
+            if v in seen:
+                continue
+            seen.add(v)
+            if match_r[v] == -1 or augment(match_r[v], seen):
+                match_l[u] = v
+                match_r[v] = u
+                return True
+        return False
+
+    for u in range(n):
+        augment(u, set())
+    return match_l, match_r
+
+
+def chain_cover(succ):
+    """The chains the matching links up, after checking it against the
+    oracle; every chain is a chain of the poset and they partition it."""
+    match_l, match_r = max_matching(succ)
+    assert (match_l, match_r) == oracle_max_matching(succ)
+    chains = []
+    for start in range(len(succ)):
+        if match_r[start] == -1:
+            chain = [start]
+            while match_l[chain[-1]] != -1:
+                chain.append(match_l[chain[-1]])
+            chains.append(chain)
+    assert sorted(x for chain in chains for x in chain) == list(range(len(succ)))
+    for chain in chains:
+        assert all(b in succ[a] for a, b in zip(chain, chain[1:]))
+    return chains
+
+
+def check_width(elems, leq):
+    succ = [[v for v in range(len(elems))
+             if v != u and leq(elems[u], elems[v])] for u in range(len(elems))]
+    chains = chain_cover(succ)
+    antichain, width = max_antichain(elems, leq)
+    assert width == len(chains) == len(antichain)
+    for a, b in combinations(antichain, 2):
+        assert not leq(a, b) and not leq(b, a)
+    return width
+
+
+def test_max_matching_agrees_with_the_recursive_oracle_on_random_posets():
+    rng = random.Random(2015)
+    for _ in range(150):
+        n = rng.randint(0, 40)
+        density = rng.choice((0.05, 0.15, 0.4))
+        above = [set() for _ in range(n)]
+        for u in range(n - 1, -1, -1):      # transitive closure, top down
+            for v in range(u + 1, n):
+                if v not in above[u] and rng.random() < density:
+                    above[u] |= {v} | above[v]
+        check_width(list(range(n)), lambda a, b: a == b or b in above[a])
+
+
+def test_max_matching_agrees_with_the_recursive_oracle_on_the_universes():
+    assert check_width(all_colored_sets(2, 6), degree_one_leq) == 12
+    index = {g: u for u, g in enumerate(UNIVERSE)}
+    for reach in (REACH_GROWTH, REACH_FULL):
+        check_width(UNIVERSE, lambda a, b: reach[index[a]] >> index[b] & 1)
+
+
+def test_max_matching_follows_alternating_paths_thousands_deep():
+    """Greedy first choices leave one augmenting path through every vertex;
+    the recursive search would overflow the interpreter's stack here."""
+    n = 5000
+    succ = [[u + 1, u] for u in range(n - 1)] + [[n - 1]]
+    match_l, match_r = max_matching(succ)
+    assert match_l == list(range(n)) and match_r == list(range(n))
 
 
 def test_colored_key_orders_r_before_b():

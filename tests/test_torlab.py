@@ -8,6 +8,7 @@ import pytest
 from tca_lab.algebra import (EquivariantIdeal, Span, VariableSystem,
                              monomials_of_degree, poly_add, rep_closure, term,
                              weight_subtract)
+from tca_lab.errors import ParseError
 from tca_lab.partitions import decompose_into_schur
 from tca_lab.torlab import (
     DeterminantalIdealSpec,
@@ -340,6 +341,14 @@ def test_stabilization_flags_unconfirmed_last_rank_cells():
     assert stab.first_stable[(1, 2)] == 2
     assert stab.first_stable[(2, 3)] is None
     assert stab.never_stabilized == [(2, 3)]
+
+
+@pytest.mark.parametrize("n_range", [(2, 2), (3, 2), (2, 4, 3)])
+def test_stabilization_refuses_ranges_that_are_not_strictly_increasing(n_range):
+    """A repeated rank would confirm its own stability and a descending
+    range would read it backwards; both are input errors (CLI exit 4)."""
+    with pytest.raises(ParseError, match="strictly increasing"):
+        stabilization_report("generic", 1, 2, 4, n_range)
 
 
 def test_stabilization_koszul_case():
