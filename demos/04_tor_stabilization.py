@@ -9,8 +9,8 @@ rank.
 """
 
 from tca_lab.partitions import fmt_partition
-from tca_lab.torlab import (DeterminantalIdealSpec, stabilization_report,
-                            tor_table)
+from tca_lab.torlab import (DeterminantalIdealSpec, determinantal_family,
+                            stabilization_report, tor_table)
 
 
 def show(table):
@@ -25,7 +25,7 @@ print("\nall 2x2 minors of a generic 3x3 matrix:")
 show(tor_table(DeterminantalIdealSpec("generic", 3, 1), 2, 4))
 
 print("\nsame ideal, rank 3 vs rank 4:")
-stab = stabilization_report("generic", 1, 2, 4, (3, 4))
+stab = stabilization_report(determinantal_family("generic", 1), 2, 4, (3, 4))
 for pq in sorted(stab.first_stable):
     n = stab.first_stable[pq]
     state = f"stable from rank {n}" if n is not None else "not yet stable"

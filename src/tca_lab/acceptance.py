@@ -31,6 +31,8 @@ ALL_FLAVORS = ("symmetric", "antisymmetric", "generic")
 # computed independently by transitive closure plus chain-cover duality.
 SANDBOX_WIDTH = 12
 SANDBOX_UNIVERSE = 73
+# Ideals in the degree-one sandbox: the two pinned ones plus random ones.
+SANDBOX_IDEALS = 10
 
 
 def criterion_1(rep, seed, budget):
@@ -120,8 +122,8 @@ def _random_degree_one_vector(rng, system, degree):
     return vec or _random_degree_one_vector(rng, system, degree)
 
 
-def sandbox_ideals(seed, rank, degree, count=10):
-    """The two pinned sandbox ideals plus enough random ones to reach ``count``."""
+def sandbox_ideals(seed, rank, degree):
+    """The two pinned sandbox ideals plus random ones, SANDBOX_IDEALS in all."""
     system = VariableSystem("degree_one", rank)
     x1 = {((0, 1),): Fraction(1)}
     x1_plus_y1 = {((0, 1),): Fraction(1), ((1, 1),): Fraction(1)}
@@ -131,7 +133,7 @@ def sandbox_ideals(seed, rank, degree, count=10):
                                          label="red-plus-blue-orbit"),
     ]
     rng = random.Random(seed)
-    while len(out) < count:
+    while len(out) < SANDBOX_IDEALS:
         d = rng.randint(1, degree)
         vec = _random_degree_one_vector(rng, system, d)
         out.append(EquivariantIdeal.from_generators(
@@ -225,7 +227,8 @@ def criterion_5(rep, seed, budget):
 
 def criterion_6(rep, seed, budget):
     """Homology tables frozen between ranks 3 and 4, generic quadrics."""
-    stab = torlab.stabilization_report("generic", 1, 2, 4, (3, 4))
+    stab = torlab.stabilization_report(
+        torlab.determinantal_family("generic", 1), 2, 4, (3, 4))
     t3 = stab.tables[3].as_dict()
     t4 = stab.tables[4].as_dict()
     if t3 != t4:
@@ -274,7 +277,7 @@ def criterion_7(rep, seed, budget):
     rep.record("criterion7-antichain",
                members=[fmt_colored_set(s) for s in
                         sorted(antichain, key=matchings.colored_key)])
-    return PASS, f"10 closures, width {width}"
+    return PASS, f"{SANDBOX_IDEALS} closures, width {width}"
 
 
 def _determinism_digest(seed):

@@ -60,6 +60,7 @@ from .matchings import (
 
 FLAVORS = ("symmetric", "antisymmetric", "generic", "degree_one")
 MATCHING_FLAVORS = ("symmetric", "antisymmetric")
+INITIAL_DATA_FLAVORS = MATCHING_FLAVORS + ("degree_one",)
 
 
 @dataclass(frozen=True)
@@ -123,9 +124,6 @@ def term(system, coeff, pairs):
     sign = 1
     out = []
     for i, j in pairs:
-        if system.flavor == "degree_one":
-            out.append((i, j))
-            continue
         v, s = system.canonical(i, j)
         if s == 0:
             return {}

@@ -24,9 +24,9 @@ import os
 import sys
 
 from . import algebra, matchings, torlab
-from .acceptance import run_all, sandbox_ideals
-from .algebra import (EquivariantIdeal, VariableSystem, block_vanishes,
-                      ideal_contains_isotypic)
+from .acceptance import SANDBOX_IDEALS, run_all, sandbox_ideals
+from .algebra import (INITIAL_DATA_FLAVORS, EquivariantIdeal, VariableSystem,
+                      block_vanishes, ideal_contains_isotypic)
 from .errors import ParseError, SearchBudgetExceededError, TcaLabError
 from .ideal_io import format_poly, load_ideal_file, parse_matching
 from .matchings import fmt_colored_set, fmt_matching, fmt_move
@@ -205,7 +205,7 @@ def _poset_sandbox(rep, args):
                    violations=[(fmt_colored_set(s), fmt_move(m),
                                 fmt_colored_set(t))
                                for s, m, t in res.violations])
-    rep.check("sandbox-move-closure", all_closed, "10 ideals")
+    rep.check("sandbox-move-closure", all_closed, f"{SANDBOX_IDEALS} ideals")
     ac, width = matchings.max_antichain(
         matchings.all_colored_sets(degree, rank), matchings.degree_one_leq)
     rep.line(f"width of the colored poset (size <= {degree}, "
@@ -275,22 +275,28 @@ def _ideal_lattice(rep, args):
               f"{len(lams)}x{len(lams)} table")
 
 
-def _load_input_ideal(args):
+def _load_input_ideal(rep, args):
+    """Read ``--input``, report its setup; return (ideal, degree, bound)."""
     if not args.input:
         raise ParseError("this check needs --input FILE")
     system, gens = load_ideal_file(args.input)
-    label = os.path.basename(args.input)
-    return system, EquivariantIdeal.from_generators(system, gens, label=label), gens
-
-
-def _ideal_initial_set(rep, args):
-    system, ideal, gens = _load_input_ideal(args)
+    if system.flavor not in INITIAL_DATA_FLAVORS:
+        raise ParseError("initial sets are defined for "
+                         f"{', '.join(INITIAL_DATA_FLAVORS)} ideals, "
+                         f"not {system.flavor}")
     degree = args.degree if args.degree is not None else 3
     bound = min(args.rank, system.rank) if args.rank is not None else system.rank
     rep.config.update({"flavor": system.flavor, "rank": system.rank,
                        "degree": degree, "support_bound": bound})
     for g in gens:
         rep.line(f"generator: {format_poly(g)}")
+    label = os.path.basename(args.input)
+    ideal = EquivariantIdeal.from_generators(system, gens, label=label)
+    return ideal, degree, bound
+
+
+def _ideal_initial_set(rep, args):
+    ideal, degree, bound = _load_input_ideal(rep, args)
     inset = algebra.initial_set(ideal, degree, bound)
     rep.line(f"{len(inset)} initial matchings within degree {degree}, "
              f"support 1..{bound}:")
@@ -301,13 +307,7 @@ def _ideal_initial_set(rep, args):
 
 
 def _ideal_move_closure(rep, args):
-    system, ideal, gens = _load_input_ideal(args)
-    degree = args.degree if args.degree is not None else 3
-    bound = min(args.rank, system.rank) if args.rank is not None else system.rank
-    rep.config.update({"flavor": system.flavor, "rank": system.rank,
-                       "degree": degree, "support_bound": bound})
-    for g in gens:
-        rep.line(f"generator: {format_poly(g)}")
+    ideal, degree, bound = _load_input_ideal(rep, args)
     res = algebra.verify_move_closure(ideal, degree, bound)
     rep.line(f"initial set size {res.initial_size}; "
              f"moves checked {res.moves_checked}")
@@ -344,10 +344,10 @@ def cmd_tor(args):
     rep = Report("tor", config={"flavor": args.flavor, "rank_bound": r,
                                 "pmax": p_max, "qmax": q_max,
                                 "nrange": ",".join(map(str, ns))})
-    stab = torlab.stabilization_report(args.flavor, r, p_max, q_max, ns)
+    stab = torlab.stabilization_report(
+        torlab.determinantal_family(args.flavor, r), p_max, q_max, ns)
     for n in ns:
-        spec = torlab.DeterminantalIdealSpec(args.flavor, n, min(r, n))
-        rep.line(spec.describe())
+        rep.line(stab.tables[n].meta["ideal"])
         for (p, q, lam, mult, _) in stab.tables[n].records():
             rep.line(f"  n={n} Tor_{p} internal {q}: {fmt_partition(lam)} x{mult}")
             rep.record("tor-entry", n=n, p=p, q=q,

@@ -184,13 +184,6 @@ def format_poly(p):
     return " ".join(parts)
 
 
-def format_matching(g):
-    """Render a matching with the greatest edge first, e.g. ``{(1,4),(2,3)}``."""
-    from .matchings import fmt_matching
-
-    return fmt_matching(g)
-
-
 _MATCHING_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)|[{},\s]|(.)")
 
 
@@ -205,6 +198,9 @@ def parse_matching(text):
             i, j = int(m.group(1)), int(m.group(2))
             if i == j:
                 raise ParseError(f"loop ({i},{i}) is not an edge", 1, m.start() + 1)
+            if min(i, j) < 1:
+                raise ParseError(f"labels start at 1, got ({i},{j})", 1,
+                                 m.start() + 1)
             edges.append((min(i, j), max(i, j)))
     seen = set()
     for e in edges:

@@ -127,12 +127,6 @@ def matching_leq(a, b) -> bool:
     return matching_key(a) <= matching_key(b)
 
 
-def compare(a, b) -> int:
-    """Three-way comparison under the total order: -1, 0, or 1."""
-    ka, kb = matching_key(a), matching_key(b)
-    return (ka > kb) - (ka < kb)
-
-
 def fmt_matching(g) -> str:
     """Render with the greatest edge first, e.g. ``{(1,4),(2,3)}``."""
     return ("{" + ",".join(f"({i},{j})"

@@ -318,12 +318,12 @@ def _as_plain(c):
     return c
 
 
-def decompose_into_schur(p, n, allow_negative=False) -> CharacterTable:
+def decompose_into_schur(p, n) -> CharacterTable:
     """Expand a symmetric polynomial in the Schur basis.
 
     Raises NonSymmetricInputError for non-symmetric input and
-    NegativeMultiplicityError when a negative coefficient appears and
-    ``allow_negative`` is false (virtual characters require opting in).
+    NegativeMultiplicityError when a negative coefficient appears: the
+    input must be a genuine character, not a virtual one.
     """
     work = {k: _as_exact(v) for k, v in p.items() if v}
     _check_symmetric(work, n)
@@ -334,14 +334,14 @@ def decompose_into_schur(p, n, allow_negative=False) -> CharacterTable:
         if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
             raise NonSymmetricInputError(f"leading exponent {lead} is not dominant")
         coeff = work[lead]
-        if coeff < 0 and not allow_negative:
+        if coeff < 0:
             raise NegativeMultiplicityError(f"multiplicity {coeff} at {lam}")
         entries[lam] = _as_plain(coeff)
         poly_add(work, schur_character(lam, n), -coeff)
     return CharacterTable(entries, n)
 
 
-def decompose_pair_into_schur(p, n, allow_negative=False) -> CharacterTable:
+def decompose_pair_into_schur(p, n) -> CharacterTable:
     """Bivariate analogue: keys are (row exponent, col exponent) pairs and the
     basis consists of products s_lam(x) * s_mu(y)."""
     work = {k: _as_exact(v) for k, v in p.items() if v}
@@ -356,7 +356,7 @@ def decompose_pair_into_schur(p, n, allow_negative=False) -> CharacterTable:
             if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
                 raise NonSymmetricInputError(f"leading exponent {lead} is not dominant")
         coeff = work[lead]
-        if coeff < 0 and not allow_negative:
+        if coeff < 0:
             raise NegativeMultiplicityError(f"multiplicity {coeff} at {(lam, mu)}")
         entries[(lam, mu)] = _as_plain(coeff)
         sx = schur_character(lam, n)

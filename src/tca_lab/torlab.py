@@ -11,6 +11,12 @@ small exact elimination problem, solved fraction-free by
 weights only and the full character is recovered by symmetry, then split
 into irreducible labels.
 
+Across ranks there is one loop, :func:`stabilization_report`.  It runs any
+family n -> ideal (a determinantal spec via :func:`determinantal_family`,
+an isotypic or generated ideal, ...), reports from which rank each (p, q)
+cell stops changing, and whether each Tor_p keeps one label set over the
+range: the finite-rank shadow of finite length.
+
 Each KoszulComplex keeps its own caches, built lazily and dropped with it:
 the quotient bases per (degree, weight), the p-subsets of variables grouped
 by weight (so a chain basis splits the weight once per group instead of
@@ -354,13 +360,13 @@ def _sample_symmetry_check(complex_, q, dominant, rng):
 
 @dataclass
 class StabilizationReport:
-    flavor: str
-    rank_bound: int
     p_max: int
     q_max: int
     n_range: tuple
     tables: dict
     first_stable: dict      # (p, q) -> first n from which entries agree, or None
+    labels_per_p: dict      # p -> {n -> sorted labels of Tor_p at rank n}
+    bounded: dict           # p -> label set of Tor_p the same at every rank
     convention: str = ("labels compared literally; labels needing more rows "
                        "than the rank are absent by construction")
 
@@ -372,20 +378,30 @@ class StabilizationReport:
     def never_stabilized(self):
         return sorted(pq for pq, n in self.first_stable.items() if n is None)
 
+    @property
+    def all_bounded(self):
+        """Finite-rank shadow of finite length: every Tor_p has one label set."""
+        return all(self.bounded.values())
 
-def stabilization_report(flavor, rank_bound, p_max, q_max, n_range):
+
+def determinantal_family(flavor, rank_bound):
+    """The family n -> forms of rank at most ``rank_bound`` (clamped to n)."""
+    return lambda n: DeterminantalIdealSpec(flavor, n, min(rank_bound, n))
+
+
+def stabilization_report(family, p_max, q_max, n_range):
     """Compare Tor tables across ranks and locate stabilization points.
 
+    ``family`` maps a rank n to what :func:`tor_table` accepts at that rank:
+    a DeterminantalIdealSpec or an EquivariantIdeal (ideals at different
+    ranks are different objects, hence a map rather than one ideal).
     Raises ParseError unless ``n_range`` is strictly increasing: a repeated
     rank would confirm its own stability, a descending one read it backwards.
     """
     n_range = tuple(n_range)
     if any(a >= b for a, b in zip(n_range, n_range[1:])):
         raise ParseError(f"ranks {n_range} must be strictly increasing")
-    tables = {}
-    for n in n_range:
-        spec = DeterminantalIdealSpec(flavor, n, min(rank_bound, n))
-        tables[n] = tor_table(spec, p_max, q_max)
+    tables = {n: tor_table(family(n), p_max, q_max) for n in n_range}
     entries = {n: t.as_dict() for n, t in tables.items()}
     cells = set()
     for e in entries.values():
@@ -404,46 +420,13 @@ def stabilization_report(flavor, rank_bound, p_max, q_max, n_range):
             if prev != entries[n_range[-1]].get(pq, {}):
                 first = None
         first_stable[pq] = first
-    return StabilizationReport(
-        flavor=flavor, rank_bound=rank_bound, p_max=p_max, q_max=q_max,
-        n_range=n_range, tables=tables, first_stable=first_stable)
-
-
-@dataclass
-class FtReport:
-    p_max: int
-    q_max: int
-    n_range: tuple
-    labels_per_p: dict      # p -> {n -> sorted label tuple}
-    bounded: dict           # p -> bool
-
-    @property
-    def all_bounded(self):
-        return all(self.bounded.values())
-
-
-def ft_check(ideal_factory, p_max, q_max, n_range):
-    """Finite-rank shadow of the finite-length property.
-
-    ``ideal_factory`` maps a rank to the ideal at that rank (ideals at
-    different ranks are different objects, so a factory rather than a
-    single ideal).  For each p the label set of Tor_p is collected per
-    rank; "bounded" means the sets agree across the whole range.
-    """
-    n_range = tuple(n_range)
     labels_per_p = {p: {} for p in range(p_max + 1)}
-    for n in n_range:
-        ideal = ideal_factory(n)
-        table = tor_table(ideal, p_max, q_max)
-        for p in range(p_max + 1):
-            labs = set()
-            for (pp, q), tab in table.entries.items():
-                if pp == p:
-                    labs.update(tab.entries)
-            labels_per_p[p][n] = tuple(sorted(labs))
-    bounded = {}
-    for p, per_n in labels_per_p.items():
-        vals = list(per_n.values())
-        bounded[p] = all(v == vals[0] for v in vals)
-    return FtReport(p_max=p_max, q_max=q_max, n_range=n_range,
-                    labels_per_p=labels_per_p, bounded=bounded)
+    for n, e in entries.items():
+        for p, per_n in labels_per_p.items():
+            per_n[n] = tuple(sorted({lam for (pp, _), tab in e.items()
+                                     if pp == p for lam in tab}))
+    bounded = {p: len(set(per_n.values())) <= 1
+               for p, per_n in labels_per_p.items()}
+    return StabilizationReport(
+        p_max=p_max, q_max=q_max, n_range=n_range, tables=tables,
+        first_stable=first_stable, labels_per_p=labels_per_p, bounded=bounded)

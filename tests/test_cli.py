@@ -18,12 +18,11 @@ from tca_lab.cli import main, parse_nrange
 from tca_lab.errors import ParseError
 from tca_lab.ideal_io import (
     format_coeff,
-    format_matching,
     format_poly,
     parse_ideal_text,
     parse_matching,
 )
-from tca_lab.matchings import matching
+from tca_lab.matchings import fmt_matching, matching
 from tca_lab.reports import Report
 
 DET2 = """# determinant of the top-left 2x2 block
@@ -99,7 +98,7 @@ def test_matching_text():
     assert parse_matching("{(1,4),(2,3)}") == matching([(1, 4), (2, 3)])
     assert parse_matching(" (2,3) , (1,4) ") == matching([(1, 4), (2, 3)])
     assert parse_matching("{}") == ()
-    assert format_matching(parse_matching("{(1,4),(2,3)}")) == "{(1,4),(2,3)}"
+    assert fmt_matching(parse_matching("{(1,4),(2,3)}")) == "{(1,4),(2,3)}"
     with pytest.raises(ParseError) as exc:
         parse_matching("{(1,2),(2,3)}")
     assert str(exc.value) == "vertex 2 used twice at line 1, column 1"
@@ -289,6 +288,18 @@ def test_cli_ideal_input_errors(tmp_path, capsys):
     assert "unexpected character '&' at line 3, column 8" in err
 
 
+@pytest.mark.parametrize("subtask", ["initial-set", "move-closure"])
+def test_cli_ideal_refuses_flavors_without_initial_data(tmp_path, capsys,
+                                                        subtask):
+    path = tmp_path / "generic.ideal"
+    path.write_text("flavor: generic\nrank: 2\nx[1,2]\n", encoding="utf-8")
+    code, out, err = run(capsys, "ideal", subtask, "--input", str(path))
+    assert code == 4
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("input error: initial sets are defined for "
+                          "symmetric, antisymmetric, degree_one ideals")
+
+
 def test_cli_tor(capsys):
     code, out, _ = run(capsys, "tor", "--rank", "0", "--nrange", "2")
     assert code == 0
@@ -323,6 +334,7 @@ def test_cli_argparse_errors(capsys):
     ("tor", "--nrange", "4,3"),
     ("poset", "verify-example", "--nrange", "5,4"),
     ("accept", "--budget", "-5"),
+    ("poset", "compare", "{(0,1)}", "{(1,2)}"),
 ])
 def test_cli_rejects_out_of_range_numbers(capsys, argv):
     code, out, err = run(capsys, *argv)

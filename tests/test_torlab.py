@@ -6,16 +6,16 @@ from itertools import combinations, permutations
 import pytest
 
 from tca_lab.algebra import (EquivariantIdeal, Span, VariableSystem,
-                             monomials_of_degree, poly_add, rep_closure, term,
-                             weight_subtract)
+                             highest_weight_vector, monomials_of_degree,
+                             poly_add, rep_closure, term, weight_subtract)
 from tca_lab.errors import ParseError
 from tca_lab.partitions import decompose_into_schur
 from tca_lab.torlab import (
     DeterminantalIdealSpec,
     KoszulComplex,
     TorTable,
+    determinantal_family,
     determinantal_ideal,
-    ft_check,
     stabilization_report,
     tor_table,
     _dominant_weights,
@@ -325,7 +325,7 @@ def test_symmetry_sampling_path():
 
 
 def test_stabilization_between_consecutive_ranks():
-    stab = stabilization_report("generic", 1, 2, 4, (3, 4))
+    stab = stabilization_report(determinantal_family("generic", 1), 2, 4, (3, 4))
     assert stab.tables[3].as_dict() == stab.tables[4].as_dict()
     assert sorted(stab.tables[3].as_dict()) == [(0, 0), (1, 2), (2, 3)]
     assert stab.first_stable == {(0, 0): 3, (1, 2): 3, (2, 3): 3}
@@ -336,7 +336,7 @@ def test_stabilization_between_consecutive_ranks():
 def test_stabilization_flags_unconfirmed_last_rank_cells():
     """A cell first visible at the top rank of the range cannot be declared
     stable from anywhere."""
-    stab = stabilization_report("generic", 1, 2, 4, (2, 3))
+    stab = stabilization_report(determinantal_family("generic", 1), 2, 4, (2, 3))
     assert stab.first_stable[(0, 0)] == 2
     assert stab.first_stable[(1, 2)] == 2
     assert stab.first_stable[(2, 3)] is None
@@ -348,33 +348,70 @@ def test_stabilization_refuses_ranges_that_are_not_strictly_increasing(n_range):
     """A repeated rank would confirm its own stability and a descending
     range would read it backwards; both are input errors (CLI exit 4)."""
     with pytest.raises(ParseError, match="strictly increasing"):
-        stabilization_report("generic", 1, 2, 4, n_range)
+        stabilization_report(determinantal_family("generic", 1), 2, 4, n_range)
 
 
 def test_stabilization_koszul_case():
-    stab = stabilization_report("symmetric", 0, 2, 2, (2, 3))
+    stab = stabilization_report(determinantal_family("symmetric", 0), 2, 2, (2, 3))
     assert stab.first_stable == {(0, 0): 2, (1, 1): 2, (2, 2): 2}
     assert stab.never_stabilized == []
 
 
 def test_rank_bound_is_clamped():
-    stab = stabilization_report("symmetric", 9, 1, 2, (2, 3))
+    stab = stabilization_report(determinantal_family("symmetric", 9), 1, 2, (2, 3))
     for n, table in stab.tables.items():
         assert table.as_dict() == {(0, 0): {(): 1}}
 
 
 def test_ft_label_boundedness():
-    report = ft_check(
+    report = stabilization_report(
         lambda n: determinantal_ideal(DeterminantalIdealSpec("symmetric", n, 1)),
         1, 2, (2, 3))
     assert report.labels_per_p == {0: {2: ((),), 3: ((),)},
                                    1: {2: ((2, 2),), 3: ((2, 2),)}}
     assert report.all_bounded
 
-    zero = ft_check(
+    zero = stabilization_report(
         lambda n: EquivariantIdeal.from_generators(
             VariableSystem("symmetric", n), [], label="zero"),
         2, 2, (2, 3))
     assert zero.labels_per_p[0] == {2: ((),), 3: ((),)}
     assert zero.labels_per_p[1] == {2: (), 3: ()}
     assert zero.all_bounded
+
+
+def _label(weight):
+    """Partition label of a dominant weight: parts sorted, zeros cut."""
+    if isinstance(weight[0], tuple):
+        return tuple(_label(side) for side in weight)
+    return tuple(sorted((x for x in weight if x), reverse=True))
+
+
+@pytest.mark.parametrize("flavor,lam", [
+    ("symmetric", (2,)), ("symmetric", (1, 1)), ("symmetric", (2, 1)),
+    ("antisymmetric", (1,)), ("generic", (1, 1))])
+def test_isotypic_family_runs_through_the_one_pipeline(flavor, lam):
+    """Any family of ideals, not only determinantal specs: an isotypic
+    block's Tor_1 in its generating degree is exactly that block, and the
+    whole report matches the ideal built by ``rep_closure`` from the same
+    highest weight vector."""
+    label = f"I[{lam}]"
+    d = sum(lam)
+
+    def isotypic(n):
+        return EquivariantIdeal.isotypic(VariableSystem(flavor, n), lam,
+                                         label=label)
+
+    def generated(n):
+        system = VariableSystem(flavor, n)
+        return EquivariantIdeal.from_generators(
+            system, [highest_weight_vector(system, lam)], label=label)
+
+    ranks = (2, 3, 4)
+    stab = stabilization_report(isotypic, 2, d + 1, ranks)
+    for n in ranks:
+        system = VariableSystem(flavor, n)
+        top = next(iter(highest_weight_vector(system, lam)))
+        assert stab.tables[n].entry(1, d).entries == {
+            _label(system.weight(top)): 1}
+    assert stab == stabilization_report(generated, 2, d + 1, ranks)
