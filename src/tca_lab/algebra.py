@@ -43,7 +43,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, combinations_with_replacement
+from itertools import (accumulate, combinations, combinations_with_replacement,
+                       product)
 from math import gcd, lcm
 
 from .errors import ZeroVectorError
@@ -328,67 +329,86 @@ def monomials_of_degree(system, d):
     return list(combinations_with_replacement(system.variables(), d))
 
 
-def _var_weight(system, v):
-    n = system.rank
-    if system.flavor == "generic":
-        row = [0] * n
-        col = [0] * n
-        row[v[0] - 1] += 1
-        col[v[1] - 1] += 1
-        return tuple(row) + tuple(col)
-    w = [0] * n
-    if system.flavor == "degree_one":
-        w[v[1] - 1] += 1
-    else:
-        w[v[0] - 1] += 1
-        w[v[1] - 1] += 1
-    return tuple(w)
-
-
 def monomials_of_weight(system, d, w):
-    """All degree-``d`` monomials of exact weight ``w``."""
-    if system.flavor == "generic":
-        target = tuple(w[0]) + tuple(w[1])
-    else:
-        target = tuple(w)
-    unit = 2 if system.flavor in MATCHING_FLAVORS else 1
-    if system.flavor == "generic":
-        if sum(w[0]) != d or sum(w[1]) != d:
+    """All degree-``d`` monomials of exact weight ``w``, in one fixed order.
+
+    Order guarantee: exponent vectors ascending lexicographically, in the
+    order of ``system.variables()``.  Seeded callers draw from this list
+    with ``rng.sample``, so the order is part of the contract.
+
+    The exponent matrix is filled one label (row) at a time, every count
+    ascending, so the list comes out in that order without sorting.  A
+    symmetric row takes its diagonal first; what is left of the row is
+    spread over the later labels, each bounded by its remaining capacity
+    and from below by what the labels after it can still absorb, so no
+    branch dies inside a row.  Generic rows fill against column
+    capacities the same way.  The degree_one system splits each ``w_i``
+    into its two colors.
+    """
+    flavor = system.flavor
+    if flavor == "generic":
+        rows, cols = list(w[0]), list(w[1])
+        if sum(rows) != d or sum(cols) != d or min(rows + cols, default=0) < 0:
             return []
-    elif sum(target) != unit * d:
+        return _fill_rows(rows, cols, upper=False, diagonal=False)
+    cap = list(w)
+    unit = 2 if flavor in MATCHING_FLAVORS else 1
+    if sum(cap) != unit * d or min(cap, default=0) < 0:
         return []
-    variables = system.variables()
-    vw = [_var_weight(system, v) for v in variables]
+    if flavor == "degree_one":
+        out = []
+        for red in product(*(range(k + 1) for k in cap)):
+            mono = [(0, i) for i, k in enumerate(red, 1) for _ in range(k)]
+            mono += [(1, i) for i, (k, r) in enumerate(zip(cap, red), 1)
+                     for _ in range(k - r)]
+            out.append(tuple(mono))
+        return out
+    return _fill_rows(cap, cap, upper=True, diagonal=flavor == "symmetric")
+
+
+def _fill_rows(rows, cols, upper, diagonal):
+    """Exponent matrices with row sums ``rows`` and column sums ``cols``,
+    as sorted monomials, counts ascending variable by variable.
+
+    ``upper`` keeps entries above the diagonal (``rows is cols``: a label's
+    capacity counts both of its indices); ``diagonal`` adds the diagonal,
+    where one entry uses two units of its label.
+    """
+    n = len(rows)
     out = []
     mono = []
 
-    def rec(idx, d_left, left):
-        if d_left == 0:
-            if not any(left):
-                out.append(tuple(mono))
+    def row(i):
+        if i == n:
+            out.append(tuple(mono))
             return
-        if idx == len(variables):
+        first = i + 1 if upper else 0
+        left = rows[i]
+        if not diagonal:
+            if upper and 2 * max(rows[i:]) > sum(rows[i:]):
+                return          # some label outweighs all the others
+            spread(i, first, left)
             return
-        rec(idx + 1, d_left, left)
-        wv = vw[idx]
-        cur = list(left)
-        used = 0
-        for _ in range(d_left):
-            ok = True
-            for t, u in enumerate(wv):
-                if u:
-                    cur[t] -= u
-                    if cur[t] < 0:
-                        ok = False
-            if not ok:
-                break
-            used += 1
-            mono.append(variables[idx])
-            rec(idx + 1, d_left - used, tuple(cur))
-        for _ in range(used):
-            mono.pop()
+        tail = sum(cols[first:])
+        for k in range(max(0, left - tail + 1) // 2, left // 2 + 1):
+            mono.extend([(i + 1, i + 1)] * k)
+            spread(i, first, left - 2 * k)
+            del mono[len(mono) - k:]
 
-    rec(0, d, target)
+    def spread(i, j, left):
+        if j == n:
+            row(i + 1)
+            return
+        room = sum(cols[j + 1:])
+        var = (i + 1, j + 1)
+        for k in range(max(0, left - room), min(left, cols[j]) + 1):
+            cols[j] -= k
+            mono.extend([var] * k)
+            spread(i, j + 1, left - k)
+            del mono[len(mono) - k:]
+            cols[j] += k
+
+    row(0)
     return out
 
 

@@ -189,19 +189,30 @@ def type2_moves(g):
 
 
 def apply_move(g, move):
-    """Replay one move against ``g``; raises ValueError if it does not apply."""
-    if move.kind in ("add_edge", "shift_endpoint"):
-        candidates = type1_moves(g, max(max_vertex(g) + 2, _move_bound(move)))
+    """Replay one move against ``g``; raises ValueError if it does not apply.
+
+    Growth moves are checked directly, in O(|g|): an added edge (a, b)
+    needs 1 <= a < b with both labels free; a shift needs its edge in ``g``
+    and one endpoint moved up by one onto a free label.  Swap moves are
+    looked up among :func:`type2_moves`.
+    """
+    used = vertices(g)
+    if move.kind == "add_edge":
+        if len(move.data) == 1:
+            a, b = move.data[0]
+            if 1 <= a < b and a not in used and b not in used:
+                return _canon(g + ((a, b),))
+    elif move.kind == "shift_endpoint":
+        if len(move.data) == 2 and move.data[0] in g:
+            (i, j), new = move.data
+            for up, shifted in ((i + 1, (i + 1, j)), (j + 1, (i, j + 1))):
+                if new == shifted and up not in used:
+                    return _canon(tuple(e for e in g if e != (i, j)) + (shifted,))
     else:
-        candidates = type2_moves(g)
-    for m, result in candidates:
-        if m == move:
-            return result
+        for m, result in type2_moves(g):
+            if m == move:
+                return result
     raise ValueError(f"move {move} does not apply to {fmt_matching(g)}")
-
-
-def _move_bound(move):
-    return max((v for e in move.data for v in e), default=0)
 
 
 def replay(g, moves):

@@ -17,13 +17,21 @@ an isotypic or generated ideal, ...), reports from which rank each (p, q)
 cell stops changing, and whether each Tor_p keeps one label set over the
 range: the finite-rank shadow of finite length.
 
+A strand enumerates only what fits its weight: a chain basis takes the
+p-subsets of variables from a depth-first search that stops as soon as a
+label runs out of capacity, grouped by what they leave of the weight, and
+the monomials of each remainder come from the row-by-row
+:func:`tca_lab.algebra.monomials_of_weight`.  The d∘d = 0 check on a
+basis vector of K_p combines the images of K_{p-1}, kept for one strand,
+along the terms of its own image: d is linear, so this is d(d(x)) without
+a second differential.
+
 Each KoszulComplex keeps its own caches, built lazily and dropped with it:
-the quotient bases per (degree, weight), the p-subsets of variables grouped
-by weight (so a chain basis splits the weight once per group instead of
-testing every subset), and the normal form of every monomial reduced so
-far, as ``Span.reduce`` returns it: ``int`` wherever it is integral, so the
-differential mostly multiplies ``int``.  The ideal memoises its monomial
-enumerations the same way.  Nothing is cached at module level.
+the quotient bases per (degree, weight) and the normal form of every
+monomial reduced so far, as ``Span.reduce`` returns it: ``int`` wherever it
+is integral, so the differential mostly multiplies ``int``.  The ideal
+memoises its monomial enumerations the same way.  Nothing is cached at
+module level.
 
 Conventions baked into reports: internal degree q is the total degree
 (the exterior factor counts 1 per variable); alternating-form rank bounds
@@ -34,7 +42,6 @@ r+1 for odd r.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from random import Random
 
 from .algebra import (
@@ -42,7 +49,6 @@ from .algebra import (
     Span,
     VariableSystem,
     monomials_of_weight,
-    weight_subtract,
 )
 from .errors import NonSymmetricCharacterError, ParseError
 from .partitions import (
@@ -135,8 +141,16 @@ class KoszulComplex:
         self.p_max = p_max
         self.q_max = q_max
         self.variables = system.variables()
+        # the weight slots each variable fills, in a flat weight vector
+        # (rows then columns for the generic system)
+        n = system.rank
+        if system.flavor == "generic":
+            self._slots = [(i - 1, n + j - 1) for i, j in self.variables]
+        elif system.flavor == "degree_one":
+            self._slots = [(i - 1,) for _, i in self.variables]
+        else:
+            self._slots = [(i - 1, j - 1) for i, j in self.variables]
         self._quotient_cache = {}
-        self._wedge_cache = {}       # p -> {weight: p-subsets of that weight}
         self._normal_forms = {}      # monomial -> normal form modulo I
 
     # -- quotient bases -----------------------------------------------------
@@ -175,22 +189,40 @@ class KoszulComplex:
         if p < 0 or q - p < 0:
             return []
         out = []
-        for tw, subsets in self._wedge_groups(p).items():
-            rem = weight_subtract(self.system, w, tw)
-            if rem is None:
-                continue
+        for rem, subsets in self._fitting_subsets(p, w).items():
             monos, _ = self.quotient_basis(q - p, rem)
             out.extend((T, m) for T in subsets for m in monos)
         return out
 
-    def _wedge_groups(self, p):
-        """The p-subsets of variables, grouped by weight (built once per p)."""
-        groups = self._wedge_cache.get(p)
-        if groups is None:
-            groups = {}
-            for T in combinations(self.variables, p):
-                groups.setdefault(self.system.weight(T), []).append(T)
-            self._wedge_cache[p] = groups
+    def _fitting_subsets(self, p, w):
+        """The p-subsets of variables whose weight fits under ``w``, grouped
+        by what is left of ``w``; a depth-first search that takes a variable
+        only while every label it uses has capacity left."""
+        n = self.system.rank
+        generic = self.system.flavor == "generic"
+        cap = list(w[0] + w[1]) if generic else list(w)
+        slots = self._slots
+        variables = self.variables
+        groups = {}
+        chosen = []
+
+        def dfs(start, left):
+            if not left:
+                rem = (tuple(cap[:n]), tuple(cap[n:])) if generic else tuple(cap)
+                groups.setdefault(rem, []).append(tuple(chosen))
+                return
+            for idx in range(start, len(slots) - left + 1):
+                slot = slots[idx]
+                for t in slot:
+                    cap[t] -= 1
+                if cap[slot[0]] >= 0 and cap[slot[-1]] >= 0:
+                    chosen.append(variables[idx])
+                    dfs(idx + 1, left - 1)
+                    chosen.pop()
+                for t in slot:
+                    cap[t] += 1
+
+        dfs(0, p)
         return groups
 
     def apply_diff(self, vec):
@@ -218,17 +250,26 @@ class KoszulComplex:
         bases = [self.chain_basis(p, q, w) for p in range(P + 2)]
         dims = [len(b) for b in bases]
         ranks = [0] * (P + 3)   # ranks[p] = rank of d: K_p -> K_{p-1}
-        images = [[] for _ in range(P + 2)]
+        below = {}              # basis vector of K_{p-1} -> its image
         for p in range(1, P + 2):
             span = Span()
+            images = {}
             for x in bases[p]:
-                img = self.apply_diff({x: 1})
+                img = images[x] = self.apply_diff({x: 1})
                 if p >= 2:
-                    again = self.apply_diff(img)
+                    again = {}
+                    for y, c in img.items():
+                        for z, c2 in below[y].items():
+                            nv = again.get(z, 0) + c * c2
+                            if nv:
+                                again[z] = nv
+                            else:
+                                del again[z]
                     assert not again, f"differential does not square to zero at p={p}"
                 if img:
                     span.add(img)
             ranks[p] = span.rank
+            below = images
         hdims = []
         for p in range(P + 1):
             h = dims[p] - ranks[p] - ranks[p + 1]

@@ -5,6 +5,7 @@ matchings (largest edge first, then recursively), under which the
 crossing picture on four labels beats the nested one.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -115,6 +116,124 @@ def test_monomial_enumeration():
     assert sorted(pms) == sorted([
         ((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))])
     assert monomials_of_weight(SYM2, 1, (1, 0)) == []   # odd total weight
+
+
+def _var_weight(system, v):
+    n = system.rank
+    if system.flavor == "generic":
+        row = [0] * n
+        col = [0] * n
+        row[v[0] - 1] += 1
+        col[v[1] - 1] += 1
+        return tuple(row) + tuple(col)
+    w = [0] * n
+    if system.flavor == "degree_one":
+        w[v[1] - 1] += 1
+    else:
+        w[v[0] - 1] += 1
+        w[v[1] - 1] += 1
+    return tuple(w)
+
+
+def oracle_monomials_of_weight(system, d, w):
+    """The variable-by-variable recursion over every variable: counts of
+    each variable ascending, pruned only where a label goes negative."""
+    if system.flavor == "generic":
+        target = tuple(w[0]) + tuple(w[1])
+    else:
+        target = tuple(w)
+    unit = 2 if system.flavor in ("symmetric", "antisymmetric") else 1
+    if system.flavor == "generic":
+        if sum(w[0]) != d or sum(w[1]) != d:
+            return []
+    elif sum(target) != unit * d:
+        return []
+    variables = system.variables()
+    vw = [_var_weight(system, v) for v in variables]
+    out = []
+    mono = []
+
+    def rec(idx, d_left, left):
+        if d_left == 0:
+            if not any(left):
+                out.append(tuple(mono))
+            return
+        if idx == len(variables):
+            return
+        rec(idx + 1, d_left, left)
+        wv = vw[idx]
+        cur = list(left)
+        used = 0
+        for _ in range(d_left):
+            ok = True
+            for t, u in enumerate(wv):
+                if u:
+                    cur[t] -= u
+                    if cur[t] < 0:
+                        ok = False
+            if not ok:
+                break
+            used += 1
+            mono.append(variables[idx])
+            rec(idx + 1, d_left - used, tuple(cur))
+        for _ in range(used):
+            mono.pop()
+
+    rec(0, d, target)
+    return out
+
+
+ENUMERATION_UNIVERSES = [("symmetric", 5), ("antisymmetric", 6), ("generic", 4),
+                         ("degree_one", 5)]
+
+
+@pytest.mark.parametrize("flavor,top", ENUMERATION_UNIVERSES)
+def test_row_by_row_enumeration_matches_the_recursion_in_order(flavor, top):
+    """Exact list equality, order included (seeded callers sample from it),
+    for every degree up to 4 and every weight that occurs in it."""
+    checked = 0
+    for n in range(1, top + 1):
+        system = VariableSystem(flavor, n)
+        for d in range(5):
+            weights = sorted({system.weight(m) for m in monomials_of_degree(system, d)})
+            for w in weights:
+                got = monomials_of_weight(system, d, w)
+                assert got == oracle_monomials_of_weight(system, d, w), (n, d, w)
+                assert got and len(set(got)) == len(got)
+                assert all(system.weight(m) == w and list(m) == sorted(m) for m in got)
+                checked += len(got)
+    assert checked > 0
+
+
+def _bounded(n, top):
+    return [tuple(v) for v in itertools.product(range(top + 1), repeat=n)]
+
+
+@pytest.mark.parametrize("flavor,top", ENUMERATION_UNIVERSES)
+def test_weights_without_monomials_enumerate_nothing(flavor, top):
+    """Every weight with entries up to 3 at a small rank, at every degree
+    up to 4: the empty ones (odd totals, wrong row or column totals, one
+    label above the sum of the others) agree with the recursion too."""
+    n = min(top, 3)
+    system = VariableSystem(flavor, n)
+    if flavor == "generic":
+        weights = [(r, c) for r in _bounded(n, 3) for c in _bounded(n, 3)]
+    else:
+        weights = _bounded(n, 3)
+    empty = 0
+    for d in range(5):
+        for w in weights:
+            got = monomials_of_weight(system, d, w)
+            assert got == oracle_monomials_of_weight(system, d, w), (d, w)
+            empty += not got
+    assert empty > 0
+    if flavor == "antisymmetric":
+        assert monomials_of_weight(system, 2, (3, 1, 0)) == []   # 3 > 1 + 0
+    if flavor == "generic":
+        assert monomials_of_weight(system, 2, ((2, 0, 0), (1, 0, 0))) == []
+        assert monomials_of_weight(system, 2, ((1, 1, 0), (0, 2, 1))) == []
+    if flavor in ("symmetric", "antisymmetric"):
+        assert monomials_of_weight(system, 1, (1, 0, 0)) == []   # odd total
 
 
 def test_highest_weight_vectors():

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -200,6 +201,19 @@ def test_cli_poset_compare(capsys):
     code, _, err = run(capsys, "poset", "compare", "{(1,2)}")
     assert code == 4
     assert err.startswith("input error: compare wants exactly two matchings")
+
+
+def test_cli_poset_compare_replays_a_long_growth_witness_quickly(capsys):
+    """Replaying ~2,000 unit shifts costs O(|g|) a move, whatever the labels."""
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "poset", "compare", "{(1,2)}", "{(999,1000)}",
+                       "--budget", "10")
+    assert code == 0
+    assert time.perf_counter() - start < 5
+    assert "growth-only: <=" in out
+    assert out.count("  shift_endpoint ") == 2 * 998
+    assert "shift_endpoint (998,1000)->(999,1000)" in out
+    assert "check witness-replays: PASS" in out
 
 
 def test_cli_poset_verify_example(capsys):

@@ -313,6 +313,59 @@ def test_growth_witnesses_replay_on_every_comparable_pair():
                 assert ok and replay(a, wit) == b, (a, b)
 
 
+def oracle_apply_move(g, move):
+    """The candidate search: generate every move of the kind and look the
+    given one up."""
+    if move.kind in ("add_edge", "shift_endpoint"):
+        bound = max((v for e in move.data for v in e), default=0)
+        candidates = type1_moves(g, max(max_vertex(g) + 2, bound))
+    else:
+        candidates = type2_moves(g)
+    for m, result in candidates:
+        if m == move:
+            return result
+    raise ValueError(f"move {move} does not apply to {fmt_matching(g)}")
+
+
+def _outcome(apply, g, move):
+    try:
+        return "value", apply(g, move)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def test_direct_move_check_agrees_with_the_candidate_search():
+    """Every legal type-1 and type-2 move over the universe, plus illegal
+    ones: a used label (added or shifted onto), a non-unit shift, an edge
+    not in g, a label 0, the wrong number of edges, a swap taken from
+    another matching."""
+    checked = illegal = 0
+    for u, g in enumerate(UNIVERSE):
+        used = sorted(vertices(g))
+        free = [v for v in range(1, 10) if v not in used]
+        moves = [mv for mv, _ in type1_moves(g, 9) + type2_moves(g)]
+        moves += [Move("add_edge", ((0, free[0]),)),
+                  Move("add_edge", ((free[1], free[0]),)),
+                  Move("add_edge", ((free[0], free[0]),))]
+        moves += [Move("add_edge", (tuple(sorted((x, free[0]))),)) for x in used]
+        moves += [Move("shift_endpoint", ((free[0], free[1]), (free[0], free[2]))),
+                  Move("add_edge", ((free[0], free[1]), (free[2], 10))),
+                  Move("add_edge", ())]
+        for i, j in g:
+            moves += [Move("shift_endpoint", ((i, j), new)) for new in
+                      ((i + 1, j), (i, j + 1), (i, j + 2), (i + 2, j), (i - 1, j),
+                       (i, j - 1), (i, j), (i + 1, j + 1), (0, j))]
+            moves += [Move("shift_endpoint", ((i, j),)),
+                      Move("shift_endpoint", ((i, j), (i, j + 1), (i + 1, j)))]
+        moves += [mv for mv, _ in type2_moves(UNIVERSE[(u * 7 + 3) % len(UNIVERSE)])]
+        for mv in moves:
+            want = _outcome(oracle_apply_move, g, mv)
+            assert _outcome(apply_move, g, mv) == want, (g, mv)
+            checked += 1
+            illegal += want[0] == "error"
+    assert checked > 20000 and illegal > 5000, (checked, illegal)
+
+
 def test_move_images_are_canonical_matchings():
     for g in UNIVERSE:
         for mv, img in type1_moves(g, 9) + type2_moves(g):

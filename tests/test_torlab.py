@@ -1,5 +1,7 @@
 """Koszul strands, determinantal ideals, and cross-rank stabilization."""
 
+import inspect
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -183,6 +185,49 @@ def test_differential_squares_to_zero():
                 assert not out
                 checked += 1
     assert checked > 0
+
+
+def test_strand_guards_fire_on_a_differential_that_does_not_square_to_zero(
+        monkeypatch):
+    """The d∘d check now combines the cached images of K_{p-1}; fed a
+    differential with every sign +1, it must still refuse the strand.  The
+    Euler bookkeeping assertion runs on every strand."""
+    def unsigned_diff(self, vec):
+        out = {}
+        for (T, m), c in vec.items():
+            for t, v in enumerate(T):
+                for m2, c2 in self._normal_form(tuple(sorted(m + (v,)))).items():
+                    key = (T[:t] + T[t + 1:], m2)
+                    out[key] = out.get(key, 0) + c * c2
+        return {k: c for k, c in out.items() if c}
+
+    system = VariableSystem("symmetric", 2)
+    ideal = determinantal_ideal(DeterminantalIdealSpec("symmetric", 2, 1))
+    w = (3, 1)      # K_2 is x11 ∧ x12, and x11*x12 is not in the ideal
+    assert KoszulComplex(system, ideal, 3, 4).chain_basis(2, 2, w)
+
+    code = KoszulComplex.strand.__code__
+    executed = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            executed.add(frame.f_lineno)
+        return trace
+
+    sys.settrace(trace)
+    try:
+        KoszulComplex(system, ideal, 3, 4).strand(2, w)
+    finally:
+        sys.settrace(None)
+    lines, first = inspect.getsourcelines(KoszulComplex.strand)
+    euler = {first + k for k, line in enumerate(lines) if "euler bookkeeping" in line}
+    assert euler and euler <= executed
+
+    monkeypatch.setattr(KoszulComplex, "apply_diff", unsigned_diff)
+    with pytest.raises(AssertionError, match="does not square to zero"):
+        KoszulComplex(system, ideal, 3, 4).strand(2, w)
 
 
 # -- the cached hot loop against the paths it replaced --------------------
