@@ -16,16 +16,14 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from . import matchings, torlab
-from .algebra import (EquivariantIdeal, VariableSystem, indicator_weight,
-                      monomials_of_weight, verify_move_closure,
+from .algebra import (MATRIX_FLAVORS, EquivariantIdeal, VariableSystem,
+                      indicator_weight, monomials_of_weight, verify_move_closure,
                       ideal_contains_isotypic)
 from .errors import SearchBudgetExceededError
 from .matchings import fmt_colored_set, fmt_matching, fmt_move
 from .partitions import (algebra_closed_formula, contains, decompose_algebra,
                          decompose_into_schur, fmt_partition, partitions_upto)
 from .reports import FAIL, INCONCLUSIVE, PASS, Report
-
-ALL_FLAVORS = ("symmetric", "antisymmetric", "generic")
 
 # Frozen width of the two-color poset on <= 2 elements and 6 vertices,
 # computed independently by transitive closure plus chain-cover duality.
@@ -38,7 +36,7 @@ SANDBOX_IDEALS = 10
 def criterion_1(rep, seed, budget):
     """Brute-force decompositions equal the closed product formulas."""
     checked = 0
-    for flavor in ALL_FLAVORS:
+    for flavor in MATRIX_FLAVORS:
         for n in range(1, 7):
             for d in range(6):
                 got = decompose_algebra(flavor, d, n)
@@ -56,7 +54,7 @@ def criterion_2(rep, seed, budget):
     """Ideal lattice: block containment mirrors diagram containment."""
     lams = partitions_upto(3)
     cells = 0
-    for flavor in ALL_FLAVORS:
+    for flavor in MATRIX_FLAVORS:
         system = VariableSystem(flavor, 6)
         ideals = {lam: EquivariantIdeal.isotypic(system, lam) for lam in lams}
         for lam in lams:

@@ -7,6 +7,14 @@ Four variable systems share one implementation:
 * ``generic``        independent x[i,j] with separate row and column actions,
 * ``degree_one``     two families x[i], y[i] ("red"/"blue") moved in lockstep.
 
+A weight is one tuple of label counts per block of labels, and each block
+is permuted by its own symmetric group: GL_n acts on one block for the
+symmetric, antisymmetric and degree_one systems, GL_n x GL_n on a (rows,
+cols) pair of blocks for the generic one.  :class:`VariableSystem` owns
+this layout (``unit``, ``blocks``, ``join``, ``flatten``, ``unflatten``),
+so weight splits, dominant slices and their relabelling run one path for
+every flavor.
+
 A polynomial is a dict mapping monomials to exact coefficients, where a
 monomial is a sorted tuple of stored variables.  Coefficients are ``int``
 wherever they are integral and ``Fraction`` only where they are not: row
@@ -48,7 +56,7 @@ from itertools import (accumulate, combinations, combinations_with_replacement,
 from math import gcd, lcm
 
 from .errors import ZeroVectorError
-from .partitions import flavor_variables, poly_add
+from .partitions import MATRIX_FLAVORS, flavor_variables, poly_add
 from .matchings import (
     colored_key,
     colored_set,
@@ -59,7 +67,7 @@ from .matchings import (
     type2_moves,
 )
 
-FLAVORS = ("symmetric", "antisymmetric", "generic", "degree_one")
+FLAVORS = MATRIX_FLAVORS + ("degree_one",)
 MATCHING_FLAVORS = ("symmetric", "antisymmetric")
 INITIAL_DATA_FLAVORS = MATCHING_FLAVORS + ("degree_one",)
 
@@ -113,7 +121,31 @@ class VariableSystem:
         return tuple(w)
 
     def sides(self):
+        """The derivation side of each label block."""
         return ("row", "col") if self.flavor == "generic" else (None,)
+
+    @property
+    def unit(self):
+        """The weight one variable puts on its block."""
+        return 2 if self.flavor in MATCHING_FLAVORS else 1
+
+    def blocks(self, w):
+        """A weight as its label blocks: ``(rows, cols)`` or ``(w,)``."""
+        return w if self.flavor == "generic" else (w,)
+
+    def join(self, blocks):
+        """The weight with these label blocks; inverse of :meth:`blocks`."""
+        return tuple(blocks) if self.flavor == "generic" else blocks[0]
+
+    def flatten(self, w):
+        """All label counts of a weight in one tuple, block after block."""
+        return w[0] + w[1] if self.flavor == "generic" else w
+
+    def unflatten(self, flat):
+        """The weight of a flat tuple of label counts; inverse of
+        :meth:`flatten`."""
+        n = self.rank
+        return (flat[:n], flat[n:]) if self.flavor == "generic" else flat
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +377,14 @@ def monomials_of_weight(system, d, w):
     capacities the same way.  The degree_one system splits each ``w_i``
     into its two colors.
     """
+    total = system.unit * d
+    for block in system.blocks(w):
+        if sum(block) != total or min(block, default=0) < 0:
+            return []
     flavor = system.flavor
     if flavor == "generic":
-        rows, cols = list(w[0]), list(w[1])
-        if sum(rows) != d or sum(cols) != d or min(rows + cols, default=0) < 0:
-            return []
-        return _fill_rows(rows, cols, upper=False, diagonal=False)
+        return _fill_rows(list(w[0]), list(w[1]), upper=False, diagonal=False)
     cap = list(w)
-    unit = 2 if flavor in MATCHING_FLAVORS else 1
-    if sum(cap) != unit * d or min(cap, default=0) < 0:
-        return []
     if flavor == "degree_one":
         out = []
         for red in product(*(range(k + 1) for k in cap)):
@@ -412,29 +442,30 @@ def _fill_rows(rows, cols, upper, diagonal):
     return out
 
 
-def subweights(system, w, d):
-    """Weights of degree-``d`` monomials bounded above coordinatewise by ``w``.
+def weight_splits(system, w, d):
+    """``(mw, w - mw)`` for every weight ``mw`` of total degree ``d`` that
+    fits under ``w``, block by block.
 
     Over-generates slightly (not every vector of the right total is hit by
     a monomial in every flavor); callers pair this with an exact monomial
     enumeration, so spurious weights just contribute empty slices.
     """
-    if system.flavor == "generic":
-        rows = _bounded_vectors(w[0], d)
-        cols = _bounded_vectors(w[1], d)
-        return [(r, c) for r in rows for c in cols]
-    unit = 2 if system.flavor in MATCHING_FLAVORS else 1
-    return _bounded_vectors(w, unit * d)
+    per_block = [_bounded_splits(b, system.unit * d) for b in system.blocks(w)]
+    if len(per_block) == 1:
+        return per_block[0]
+    return [tuple(map(system.join, zip(*split))) for split in product(*per_block)]
 
 
-def _bounded_vectors(bound, total):
+def _bounded_splits(bound, total):
+    """``(v, bound - v)`` for every vector ``0 <= v <= bound`` summing to
+    ``total``, ascending lexicographically in ``v``."""
     out = []
     vec = []
 
     def rec(idx, left):
         if idx == len(bound):
             if left == 0:
-                out.append(tuple(vec))
+                out.append((tuple(vec), tuple(b - k for b, k in zip(bound, vec))))
             return
         hi = min(bound[idx], left)
         tail = sum(bound[idx + 1:])
@@ -444,19 +475,6 @@ def _bounded_vectors(bound, total):
             vec.pop()
 
     rec(0, total)
-    return out
-
-
-def weight_subtract(system, w, mw):
-    if system.flavor == "generic":
-        r = tuple(a - b for a, b in zip(w[0], mw[0]))
-        c = tuple(a - b for a, b in zip(w[1], mw[1]))
-        if min(r, default=0) < 0 or min(c, default=0) < 0:
-            return None
-        return (r, c)
-    out = tuple(a - b for a, b in zip(w, mw))
-    if min(out, default=0) < 0:
-        return None
     return out
 
 
@@ -560,19 +578,16 @@ def lowerings_from(system, hwv, w_high, w_target, cache=None):
     for the three matrix flavors.
 
     The slice is relabelled from the one at the dominant weight
-    ``sort(w_target)`` (rows and columns sorted separately for the generic
-    system).  Dominant slices are memoised in ``cache``, which must belong
-    to this ``hwv``, and stored as reduced echelon bases.
+    ``sort(w_target)``, each label block sorted on its own (rows and
+    columns separately for the generic system).  Dominant slices are
+    memoised in ``cache``, which must belong to this ``hwv``, and stored as
+    reduced echelon bases.
     """
     if cache is None:
         cache = {}
-    if system.flavor == "generic":
-        rows, dom_rows = _sort_labels(w_target[0])
-        cols, dom_cols = _sort_labels(w_target[1])
-        dominant = (dom_rows, dom_cols)
-    else:
-        rows, dominant = _sort_labels(w_target)
-        cols = rows
+    sorted_blocks = [_sort_labels(b) for b in system.blocks(w_target)]
+    dominant = system.join([b for _, b in sorted_blocks])
+    rows, cols = sorted_blocks[0][0], sorted_blocks[-1][0]
     basis = cache.get(dominant)
     if basis is None:
         basis = cache[dominant] = _dominant_slice(
@@ -606,24 +621,19 @@ def _dominant_slice(system, hwv, w_high, dominant, cache):
     the span of act(a+1, a) on the slices one simple root higher."""
     if dominant == w_high:
         return [hwv]
-    if system.flavor == "generic":
-        pairs = ((dominant[0], w_high[0]), (dominant[1], w_high[1]))
-    else:
-        pairs = ((dominant, w_high),)
-    for low, high in pairs:
+    lows = system.blocks(dominant)
+    for low, high in zip(lows, system.blocks(w_high)):
         if sum(low) != sum(high) or any(
                 x > y for x, y in zip(accumulate(low), accumulate(high))):
             return []
     span = Span()
-    for (low, _), side in zip(pairs, system.sides()):
+    for k, (low, side) in enumerate(zip(lows, system.sides())):
         for a in range(1, system.rank):
             if not low[a]:
                 continue
-            up = low[:a - 1] + (low[a - 1] + 1, low[a] - 1) + low[a + 1:]
-            if side == "row":
-                up = (up, dominant[1])
-            elif side == "col":
-                up = (dominant[0], up)
+            blocks = list(lows)
+            blocks[k] = low[:a - 1] + (low[a - 1] + 1, low[a] - 1) + low[a + 1:]
+            up = system.join(blocks)
             for vec in lowerings_from(system, hwv, w_high, up, cache):
                 span.add(lie_act(system, a + 1, a, vec, side))
     return span.reduced_vectors()
@@ -716,10 +726,7 @@ class EquivariantIdeal:
                 for g in self.gen_weight_slice(e, w):
                     span.add(g)
                 continue
-            for mw in subweights(self.system, w, rem):
-                gw = weight_subtract(self.system, w, mw)
-                if gw is None:
-                    continue
+            for mw, gw in weight_splits(self.system, w, rem):
                 gens = self.gen_weight_slice(e, gw)
                 if not gens:
                     continue
@@ -823,18 +830,18 @@ def colored_coords(vec):
 
 def _initial_data(flavor):
     """How a flavor reads its initial data: (coordinates of a vector, total
-    order on them, support labels per degree, moves within a label bound).
+    order on them, moves within a label bound).
 
     Matchings for the two matrix flavors, colored sets for ``degree_one``.
     Built on every call, so the move functions are looked up when the code
     runs rather than frozen at import.
     """
     if flavor == "degree_one":
-        return colored_coords, colored_key, 1, degree_one_moves
+        return colored_coords, colored_key, degree_one_moves
     if flavor not in MATCHING_FLAVORS:
         raise ValueError("initial data need a symmetric, antisymmetric "
                          "or degree_one system")
-    return (vector_to_matching_coords, matching_key, 2,
+    return (vector_to_matching_coords, matching_key,
             lambda g, bound: type1_moves(g, bound) + type2_moves(g))
 
 
@@ -842,12 +849,13 @@ def ideal_admissible_component(ideal, support):
     """Squarefree slice of an equivariant ideal at the indicator weight of
     ``support``, in matching (or colored-set) coordinates; computed
     weight-first so only the one needed weight space is ever assembled."""
-    coords, _, step, _ = _initial_data(ideal.system.flavor)
+    coords, _, _ = _initial_data(ideal.system.flavor)
+    unit = ideal.system.unit
     support = tuple(sorted(set(support)))
-    if len(support) % step:
+    if len(support) % unit:
         return []
     w = indicator_weight(ideal.system.rank, support)
-    span = ideal.component_span(len(support) // step, w)
+    span = ideal.component_span(len(support) // unit, w)
     return [coords(v) for v in span.vectors()]
 
 
@@ -858,9 +866,10 @@ def initial_set(ideal, degree_bound, support_bound):
     One echelon pass per support: the pivot set of a weight slice is
     exactly the set of leading terms of its nonzero vectors.
     """
-    _, key, step, _ = _initial_data(ideal.system.flavor)
+    _, key, _ = _initial_data(ideal.system.flavor)
+    unit = ideal.system.unit
     out = set()
-    for size in range(step, min(step * degree_bound, support_bound) + 1, step):
+    for size in range(unit, min(unit * degree_bound, support_bound) + 1, unit):
         for support in combinations(range(1, support_bound + 1), size):
             span = Span(key=key)
             for v in ideal_admissible_component(ideal, support):
@@ -887,7 +896,7 @@ class MoveClosureReport:
 def verify_move_closure(ideal, degree_bound, support_bound):
     """Check that the initial set is stable under every move that stays
     within the bounds; violations are returned, not raised."""
-    _, key, _, moves = _initial_data(ideal.system.flavor)
+    _, key, moves = _initial_data(ideal.system.flavor)
     inset = set(initial_set(ideal, degree_bound, support_bound))
     moves_checked = 0
     violations = []

@@ -25,8 +25,8 @@ import sys
 
 from . import algebra, matchings, torlab
 from .acceptance import SANDBOX_IDEALS, run_all, sandbox_ideals
-from .algebra import (INITIAL_DATA_FLAVORS, EquivariantIdeal, VariableSystem,
-                      block_vanishes, ideal_contains_isotypic)
+from .algebra import (INITIAL_DATA_FLAVORS, MATRIX_FLAVORS, EquivariantIdeal,
+                      VariableSystem, block_vanishes, ideal_contains_isotypic)
 from .errors import ParseError, SearchBudgetExceededError, TcaLabError
 from .ideal_io import format_poly, load_ideal_file, parse_matching
 from .matchings import fmt_colored_set, fmt_matching, fmt_move
@@ -35,7 +35,6 @@ from .partitions import (algebra_closed_formula, contains, decompose_algebra,
 from .reports import EXIT_INPUT_ERROR, INCONCLUSIVE, Report
 
 DEFAULT_SEED = 1729
-MAIN_FLAVORS = ("symmetric", "antisymmetric", "generic")
 
 
 def _budget(args):
@@ -413,7 +412,7 @@ def build_parser():
 
     def flags(p, *names, min_rank=1):
         if "flavor" in names:
-            p.add_argument("--flavor", choices=MAIN_FLAVORS, default="symmetric")
+            p.add_argument("--flavor", choices=MATRIX_FLAVORS, default="symmetric")
         if "rank" in names:
             p.add_argument("--rank", type=_at_least(min_rank))
         if "degree" in names:

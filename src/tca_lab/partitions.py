@@ -4,7 +4,12 @@ Partitions are plain tuples of weakly decreasing positive integers; ``()`` is
 the empty partition.  A symmetric polynomial in ``n`` variables is a dict
 mapping length-``n`` exponent tuples to nonzero exact coefficients (int or
 Fraction).  Characters of doubly-symmetric objects (one group acting on rows,
-one on columns) use pairs ``(row_exponents, col_exponents)`` as keys.
+one on columns) use pairs ``(row_exponents, col_exponents)`` as keys.  Either
+key is a tuple of label blocks (one exponent tuple, or a row and a column
+tuple), each permuted by its own symmetric group, and every routine here
+reads it through :func:`_key_blocks`: pair keys share the one symmetry
+check, the one symmetrization and the one Schur expansion, whose basis is
+then the products s_lam(x) * s_mu(y).
 
 Expansion into the Schur basis repeatedly subtracts the Schur polynomial of
 the lexicographically leading exponent of top degree; Schur polynomials are
@@ -16,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
+from math import prod
 
 from .errors import NegativeMultiplicityError, NonSymmetricInputError
 
-FLAVORS = ("symmetric", "antisymmetric", "generic")
+MATRIX_FLAVORS = ("symmetric", "antisymmetric", "generic")
 
 
 def partition(parts) -> tuple:
@@ -192,6 +198,18 @@ def schur_character(lam, n) -> dict:
     return dict(_schur_cached(partition(lam), n))
 
 
+@lru_cache(maxsize=None)
+def _schur_of_blocks(parts, n):
+    """s_lam, or s_lam(x) * s_mu(y) for two blocks, keyed like the
+    characters it expands; shared, never mutated."""
+    if len(parts) == 1:
+        return _schur_cached(parts[0], n)
+    out = {}
+    for terms in product(*(_schur_cached(part, n).items() for part in parts)):
+        out[_from_blocks([e for e, _ in terms])] = prod(c for _, c in terms)
+    return out
+
+
 def schur_dim(lam, n) -> int:
     """Tableau-count dimension; cross-checkable against hook_content_dim."""
     return sum(_schur_cached(partition(lam), n).values())
@@ -226,27 +244,26 @@ def poly_product(p, q):
     return out
 
 
+def _key_blocks(key):
+    """The label blocks of a character key: an exponent tuple (or a
+    partition) is one block, a ``(rows, cols)`` pair is two."""
+    return key if key and isinstance(key[0], tuple) else (key,)
+
+
+def _from_blocks(blocks):
+    """The character key with these label blocks; inverse of _key_blocks."""
+    return tuple(blocks) if len(blocks) > 1 else blocks[0]
+
+
 def symmetrize_counts(dominant, n):
-    """Expand {sorted weight: value} to a full symmetric exponent dict."""
+    """Expand {sorted weight: value} to a full symmetric exponent dict,
+    permuting every label block of the keys on its own."""
     out = {}
     for w, v in dominant.items():
-        padded = tuple(w) + (0,) * (n - len(w))
-        for perm in set(permutations(padded)):
-            out[perm] = v
-    return out
-
-
-def symmetrize_pair_counts(dominant, n):
-    """Bivariate version of symmetrize_counts, keys (row weight, col weight)."""
-    out = {}
-    for (wr, wc), v in dominant.items():
-        pr = tuple(wr) + (0,) * (n - len(wr))
-        pc = tuple(wc) + (0,) * (n - len(wc))
-        rows = set(permutations(pr))
-        cols = set(permutations(pc))
-        for a in rows:
-            for b in cols:
-                out[(a, b)] = v
+        orbits = [set(permutations(tuple(b) + (0,) * (n - len(b))))
+                  for b in _key_blocks(w)]
+        for blocks in product(*orbits):
+            out[_from_blocks(blocks)] = v
     return out
 
 
@@ -256,24 +273,26 @@ def _swap_slots(exp, i):
     return tuple(e)
 
 
-def _check_symmetric(p, n, block=None):
-    """Exact symmetry check: invariance under every adjacent transposition.
+def _check_symmetric(p, n):
+    """Exact symmetry check: invariance under every adjacent transposition
+    of every label block.
 
     Adjacent transpositions generate the full symmetric group, so this is a
-    complete test, not a sampling heuristic.  ``block`` selects the row (0)
-    or column (1) component of bivariate keys.
+    complete test, not a sampling heuristic.  Keys are checked flat, the
+    blocks of length ``n`` one after another.
     """
-    for i in range(n - 1):
-        for key, coeff in p.items():
-            if block is None:
-                other = _swap_slots(key, i)
-            elif block == 0:
-                other = (_swap_slots(key[0], i), key[1])
-            else:
-                other = (key[0], _swap_slots(key[1], i))
-            if p.get(other, 0) != coeff:
+    flat = {sum(_key_blocks(key), ()): coeff for key, coeff in p.items()}
+    width = max(map(len, flat), default=0)
+
+    def shaped(key):
+        return _from_blocks([key[s:s + n] for s in range(0, width, n)])
+
+    for t in [s + i for s in range(0, width, n) for i in range(n - 1)]:
+        for key, coeff in flat.items():
+            other = _swap_slots(key, t)
+            if flat.get(other, 0) != coeff:
                 raise NonSymmetricInputError(
-                    f"coefficient mismatch between {key} and {other}"
+                    f"coefficient mismatch between {shaped(key)} and {shaped(other)}"
                 )
 
 
@@ -300,10 +319,9 @@ class CharacterTable:
     def total_dim(self) -> int:
         total = 0
         for key, mult in self.entries.items():
-            if key and isinstance(key[0], tuple):
-                d = hook_content_dim(key[0], self.rank) * hook_content_dim(key[1], self.rank)
-            else:
-                d = hook_content_dim(key, self.rank)
+            d = 1
+            for lam in _key_blocks(key):
+                d *= hook_content_dim(lam, self.rank)
             total += mult * d
         return total
 
@@ -321,55 +339,41 @@ def _as_plain(c):
 def decompose_into_schur(p, n) -> CharacterTable:
     """Expand a symmetric polynomial in the Schur basis.
 
-    Raises NonSymmetricInputError for non-symmetric input and
+    Keys are exponent tuples, or (row exponent, col exponent) pairs
+    expanded in the products s_lam(x) * s_mu(y).  Raises
+    NonSymmetricInputError for non-symmetric input and
     NegativeMultiplicityError when a negative coefficient appears: the
     input must be a genuine character, not a virtual one.
     """
     work = {k: _as_exact(v) for k, v in p.items() if v}
     _check_symmetric(work, n)
+    # Schur polynomials are homogeneous: each degree expands on its own,
+    # top degree first, and its leading exponent is the largest key
+    by_degree = {}
+    for k, v in work.items():
+        by_degree.setdefault(sum(map(sum, _key_blocks(k))), {})[k] = v
     entries = {}
-    while work:
-        lead = max(work, key=lambda k: (sum(k), k))
-        lam = tuple(x for x in lead if x)
-        if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-            raise NonSymmetricInputError(f"leading exponent {lead} is not dominant")
-        coeff = work[lead]
-        if coeff < 0:
-            raise NegativeMultiplicityError(f"multiplicity {coeff} at {lam}")
-        entries[lam] = _as_plain(coeff)
-        poly_add(work, schur_character(lam, n), -coeff)
+    for _, work in sorted(by_degree.items(), reverse=True):
+        while work:
+            lead = max(work)
+            parts = tuple(tuple(x for x in b if x) for b in _key_blocks(lead))
+            for part in parts:
+                if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
+                    raise NonSymmetricInputError(
+                        f"leading exponent {lead} is not dominant")
+            label = _from_blocks(parts)
+            coeff = work[lead]
+            if coeff < 0:
+                raise NegativeMultiplicityError(f"multiplicity {coeff} at {label}")
+            entries[label] = _as_plain(coeff)
+            poly_add(work, _schur_of_blocks(parts, n), -coeff)
     return CharacterTable(entries, n)
 
 
 def decompose_pair_into_schur(p, n) -> CharacterTable:
-    """Bivariate analogue: keys are (row exponent, col exponent) pairs and the
-    basis consists of products s_lam(x) * s_mu(y)."""
-    work = {k: _as_exact(v) for k, v in p.items() if v}
-    _check_symmetric(work, n, block=0)
-    _check_symmetric(work, n, block=1)
-    entries = {}
-    while work:
-        lead = max(work, key=lambda k: (sum(k[0]) + sum(k[1]), k))
-        lam = tuple(x for x in lead[0] if x)
-        mu = tuple(x for x in lead[1] if x)
-        for part in (lam, mu):
-            if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
-                raise NonSymmetricInputError(f"leading exponent {lead} is not dominant")
-        coeff = work[lead]
-        if coeff < 0:
-            raise NegativeMultiplicityError(f"multiplicity {coeff} at {(lam, mu)}")
-        entries[(lam, mu)] = _as_plain(coeff)
-        sx = schur_character(lam, n)
-        sy = schur_character(mu, n)
-        for ex, cx in sx.items():
-            for ey, cy in sy.items():
-                key = (ex, ey)
-                c = work.get(key, 0) - coeff * cx * cy
-                if c:
-                    work[key] = c
-                else:
-                    work.pop(key, None)
-    return CharacterTable(entries, n)
+    """:func:`decompose_into_schur` of a character with (row exponent, col
+    exponent) keys, named for the callers that only have pairs."""
+    return decompose_into_schur(p, n)
 
 
 # ---------------------------------------------------------------------------
@@ -390,29 +394,19 @@ def flavor_variables(flavor, n):
 def decompose_algebra(flavor, d, n) -> CharacterTable:
     """Schur expansion of the degree-``d`` component, computed by brute
     monomial weight counting (independent of the closed product formula)."""
-    if flavor not in FLAVORS:
+    if flavor not in MATRIX_FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    variables = flavor_variables(flavor, n)
-    if flavor == "generic":
-        char = {}
-        for combo in combinations_with_replacement(variables, d):
-            row = [0] * n
-            col = [0] * n
-            for (i, j) in combo:
-                row[i - 1] += 1
-                col[j - 1] += 1
-            key = (tuple(row), tuple(col))
-            char[key] = char.get(key, 0) + 1
-        return decompose_pair_into_schur(char, n)
+    pair = flavor == "generic"     # rows and columns are separate blocks
     char = {}
-    for combo in combinations_with_replacement(variables, d):
-        w = [0] * n
+    for combo in combinations_with_replacement(flavor_variables(flavor, n), d):
+        row = [0] * n
+        col = [0] * n if pair else row
         for (i, j) in combo:
-            w[i - 1] += 1
-            w[j - 1] += 1
-        key = tuple(w)
+            row[i - 1] += 1
+            col[j - 1] += 1
+        key = (tuple(row), tuple(col)) if pair else tuple(row)
         char[key] = char.get(key, 0) + 1
     return decompose_into_schur(char, n)
 
@@ -421,7 +415,7 @@ def algebra_closed_formula(flavor, d, n) -> CharacterTable:
     """The predicted multiplicity-free table for the degree-``d`` component:
     doubled rows, doubled columns, or diagonal pairs, indexed by partitions
     of ``d`` and truncated to shapes with at most ``n`` rows."""
-    if flavor not in FLAVORS:
+    if flavor not in MATRIX_FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     entries = {}
     for lam in partitions_of(d):
@@ -440,6 +434,5 @@ def algebra_closed_formula(flavor, d, n) -> CharacterTable:
 
 
 def fmt_partition(lam) -> str:
-    if lam and isinstance(lam[0], tuple):
-        return fmt_partition(lam[0]) + "*" + fmt_partition(lam[1])
-    return "(" + ",".join(str(x) for x in lam) + ")"
+    return "*".join("(" + ",".join(str(x) for x in block) + ")"
+                    for block in _key_blocks(lam))

@@ -9,7 +9,12 @@ degree q.  Differentials preserve weight, so every (weight, q) strand is a
 small exact elimination problem, solved fraction-free by
 :class:`tca_lab.algebra.Span`; homology dimensions are computed at dominant
 weights only and the full character is recovered by symmetry, then split
-into irreducible labels.
+into irreducible labels.  Weights are read through the label-block layout
+of :class:`tca_lab.algebra.VariableSystem`, so every flavor takes one path:
+dominant weights are partitions of ``unit * q``, one per block, a strand
+searches the flat view of its weight, and one ``symmetrize_counts`` plus
+``decompose_into_schur`` turns exponent tuples and (rows, cols) pairs alike
+into characters.
 
 Across ranks there is one loop, :func:`stabilization_report`.  It runs any
 family n -> ideal (a determinantal spec via :func:`determinantal_family`,
@@ -42,24 +47,18 @@ r+1 for odd r.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from random import Random
 
 from .algebra import (
+    MATRIX_FLAVORS,
     EquivariantIdeal,
     Span,
     VariableSystem,
     monomials_of_weight,
 )
 from .errors import NonSymmetricCharacterError, ParseError
-from .partitions import (
-    decompose_into_schur,
-    decompose_pair_into_schur,
-    partitions_of,
-    symmetrize_counts,
-    symmetrize_pair_counts,
-)
-
-MATRIX_FLAVORS = ("symmetric", "antisymmetric", "generic")
+from .partitions import decompose_into_schur, partitions_of, symmetrize_counts
 
 
 @dataclass(frozen=True)
@@ -141,15 +140,12 @@ class KoszulComplex:
         self.p_max = p_max
         self.q_max = q_max
         self.variables = system.variables()
-        # the weight slots each variable fills, in a flat weight vector
-        # (rows then columns for the generic system)
-        n = system.rank
-        if system.flavor == "generic":
-            self._slots = [(i - 1, n + j - 1) for i, j in self.variables]
-        elif system.flavor == "degree_one":
-            self._slots = [(i - 1,) for _, i in self.variables]
-        else:
-            self._slots = [(i - 1, j - 1) for i, j in self.variables]
+        # the slots of the flat weight each variable fills, one per unit
+        # (at most two: a variable has two indices)
+        self._slots = [
+            tuple(t for t, k in enumerate(system.flatten(system.weight((v,))))
+                  for _ in range(k))
+            for v in self.variables]
         self._quotient_cache = {}
         self._normal_forms = {}      # monomial -> normal form modulo I
 
@@ -189,18 +185,18 @@ class KoszulComplex:
         if p < 0 or q - p < 0:
             return []
         out = []
+        unflatten = self.system.unflatten
         for rem, subsets in self._fitting_subsets(p, w).items():
-            monos, _ = self.quotient_basis(q - p, rem)
+            monos, _ = self.quotient_basis(q - p, unflatten(rem))
             out.extend((T, m) for T in subsets for m in monos)
         return out
 
     def _fitting_subsets(self, p, w):
         """The p-subsets of variables whose weight fits under ``w``, grouped
-        by what is left of ``w``; a depth-first search that takes a variable
-        only while every label it uses has capacity left."""
-        n = self.system.rank
-        generic = self.system.flavor == "generic"
-        cap = list(w[0] + w[1]) if generic else list(w)
+        by what is left of the flat view of ``w``; a depth-first search
+        that takes a variable only while every label it uses has capacity
+        left."""
+        cap = list(self.system.flatten(w))
         slots = self._slots
         variables = self.variables
         groups = {}
@@ -208,8 +204,7 @@ class KoszulComplex:
 
         def dfs(start, left):
             if not left:
-                rem = (tuple(cap[:n]), tuple(cap[n:])) if generic else tuple(cap)
-                groups.setdefault(rem, []).append(tuple(chosen))
+                groups.setdefault(tuple(cap), []).append(tuple(chosen))
                 return
             for idx in range(start, len(slots) - left + 1):
                 slot = slots[idx]
@@ -319,13 +314,13 @@ class TorTable:
 
 
 def _dominant_weights(system, q):
+    """Weights of degree q sorted in every block: a partition of
+    ``unit * q`` per block, padded to the rank."""
     n = system.rank
-    if system.flavor == "generic":
-        parts = [tuple(lam) + (0,) * (n - len(lam))
-                 for lam in partitions_of(q, max_rows=n)]
-        return [(r, c) for r in parts for c in parts]
-    return [tuple(lam) + (0,) * (n - len(lam))
-            for lam in partitions_of(2 * q, max_rows=n)]
+    parts = [tuple(lam) + (0,) * (n - len(lam))
+             for lam in partitions_of(system.unit * q, max_rows=n)]
+    return [system.join(blocks)
+            for blocks in product(parts, repeat=len(system.sides()))]
 
 
 def tor_table(source, p_max, q_max, *, sample_check_seed=None):
@@ -360,31 +355,21 @@ def tor_table(source, p_max, q_max, *, sample_check_seed=None):
         if rng is not None:
             _sample_symmetry_check(complex_, q, dominant, rng)
         for p, dom in dominant.items():
-            if system.flavor == "generic":
-                counts = symmetrize_pair_counts(dom, system.rank)
-                table = decompose_pair_into_schur(counts, system.rank)
-            else:
-                counts = symmetrize_counts(dom, system.rank)
-                table = decompose_into_schur(counts, system.rank)
-            per_pq[(p, q)] = table
+            counts = symmetrize_counts(dom, system.rank)
+            per_pq[(p, q)] = decompose_into_schur(counts, system.rank)
     return TorTable(rank=system.rank, entries=per_pq, meta=meta)
 
 
 def _sample_symmetry_check(complex_, q, dominant, rng):
     system = complex_.system
-    n = system.rank
     weights = sorted({w for dom in dominant.values() for w in dom})
     for w in weights[:2]:
-        if system.flavor == "generic":
-            r = list(w[0])
-            c = list(w[1])
-            rng.shuffle(r)
-            rng.shuffle(c)
-            probe = (tuple(r), tuple(c))
-        else:
-            r = list(w)
-            rng.shuffle(r)
-            probe = tuple(r)
+        blocks = []
+        for block in system.blocks(w):
+            labels = list(block)
+            rng.shuffle(labels)
+            blocks.append(tuple(labels))
+        probe = system.join(blocks)
         if probe == w:
             continue
         got = complex_.homology_dims(q, probe)

@@ -37,6 +37,7 @@ from tca_lab.algebra import (
     vector_to_matching_coords,
     verify_move_closure,
     weight_split,
+    weight_splits,
 )
 from tca_lab.errors import ZeroVectorError
 from tca_lab.matchings import fmt_matching, leq_full, matching
@@ -234,6 +235,96 @@ def test_weights_without_monomials_enumerate_nothing(flavor, top):
         assert monomials_of_weight(system, 2, ((1, 1, 0), (0, 2, 1))) == []
     if flavor in ("symmetric", "antisymmetric"):
         assert monomials_of_weight(system, 1, (1, 0, 0)) == []   # odd total
+
+
+def oracle_subweights(system, w, d):
+    """Weights of degree-``d`` monomials bounded above coordinatewise by
+    ``w``, one flavor branch per layout (the composition that
+    :func:`weight_splits` replaced)."""
+    if system.flavor == "generic":
+        rows = _bounded_vectors(w[0], d)
+        cols = _bounded_vectors(w[1], d)
+        return [(r, c) for r in rows for c in cols]
+    unit = 2 if system.flavor in ("symmetric", "antisymmetric") else 1
+    return _bounded_vectors(w, unit * d)
+
+
+def _bounded_vectors(bound, total):
+    return [v for v in itertools.product(*(range(b + 1) for b in bound))
+            if sum(v) == total]
+
+
+def oracle_weight_subtract(system, w, mw):
+    """``w - mw``, or None when some label count goes negative."""
+    if system.flavor == "generic":
+        r = tuple(a - b for a, b in zip(w[0], mw[0]))
+        c = tuple(a - b for a, b in zip(w[1], mw[1]))
+        if min(r, default=0) < 0 or min(c, default=0) < 0:
+            return None
+        return (r, c)
+    out = tuple(a - b for a, b in zip(w, mw))
+    if min(out, default=0) < 0:
+        return None
+    return out
+
+
+SPLIT_UNIVERSES = [("symmetric", 3), ("antisymmetric", 4), ("generic", 3),
+                   ("degree_one", 3)]
+
+
+def _weights_up_to_degree(system, top):
+    return sorted({system.weight(m) for d in range(top + 1)
+                   for m in monomials_of_degree(system, d)})
+
+
+@pytest.mark.parametrize("flavor,top", SPLIT_UNIVERSES)
+def test_weight_splits_match_the_subweights_oracle(flavor, top):
+    """Same list, order included, for every weight of degree <= 4 and
+    every d up to one past the degree."""
+    checked = 0
+    for n in range(1, top + 1):
+        system = VariableSystem(flavor, n)
+        for w in _weights_up_to_degree(system, 4):
+            degree = sum(system.flatten(w)) // (system.unit * len(system.sides()))
+            for d in range(degree + 2):
+                want = []
+                for mw in oracle_subweights(system, w, d):
+                    gw = oracle_weight_subtract(system, w, mw)
+                    if gw is not None:
+                        want.append((mw, gw))
+                assert weight_splits(system, w, d) == want, (n, w, d)
+                checked += len(want)
+    assert checked > 0
+
+
+@pytest.mark.parametrize("flavor,top", SPLIT_UNIVERSES)
+def test_weight_splits_cover_every_fitting_monomial(flavor, top):
+    """Every degree-d monomial whose weight fits under w is one split."""
+    for n in range(1, top + 1):
+        system = VariableSystem(flavor, n)
+        weights = _weights_up_to_degree(system, 4)
+        for d in range(4):
+            fitting = {system.weight(m) for m in monomials_of_degree(system, d)}
+            for w in weights:
+                splits = set(weight_splits(system, w, d))
+                for mw in fitting:
+                    gw = oracle_weight_subtract(system, w, mw)
+                    if gw is not None:
+                        assert (mw, gw) in splits, (n, w, d, mw)
+
+
+def test_variable_system_weight_layout():
+    gen = VariableSystem("generic", 2)
+    w = ((2, 1), (0, 3))
+    assert gen.unit == 1 and gen.blocks(w) == w and gen.join(gen.blocks(w)) == w
+    assert gen.flatten(w) == (2, 1, 0, 3) and gen.unflatten((2, 1, 0, 3)) == w
+    for flavor, unit in (("symmetric", 2), ("antisymmetric", 2), ("degree_one", 1)):
+        system = VariableSystem(flavor, 3)
+        w = (2, 0, 1)
+        assert system.unit == unit and system.blocks(w) == (w,)
+        assert system.join(system.blocks(w)) == w
+        assert system.flatten(w) == w and system.unflatten(w) == w
+        assert len(system.blocks(w)) == len(system.sides())
 
 
 def test_highest_weight_vectors():

@@ -21,6 +21,7 @@ from tca_lab.partitions import (
     poly_product,
     schur_character,
     schur_dim,
+    symmetrize_counts,
     transpose,
 )
 
@@ -233,6 +234,75 @@ def test_pair_decomposition_roundtrip():
                 char[key] = char.get(key, 0) + cr * cc
     table = decompose_pair_into_schur(char, n)
     assert table.entries == {((2,), (2,)): 1, ((1, 1), (1, 1)): 1}
+
+
+def _character(table, n):
+    """The character of {label: multiplicity}, labels partitions or pairs."""
+    char = {}
+    for label, mult in table.items():
+        if label and isinstance(label[0], tuple):
+            terms = {(ex, ey): cx * cy
+                     for ex, cx in schur_character(label[0], n).items()
+                     for ey, cy in schur_character(label[1], n).items()}
+        else:
+            terms = schur_character(label, n)
+        for key, c in terms.items():
+            char[key] = char.get(key, 0) + mult * c
+    return {k: v for k, v in char.items() if v}
+
+
+def _random_tables(n, pairs, rng):
+    """The zero table plus nonnegative combinations of labels of size <= 3."""
+    labels = all_partitions_upto(3)
+    labels = [lam for lam in labels if len(lam) <= n]
+    if pairs:
+        labels = [(lam, mu) for lam in labels for mu in labels]
+    yield {}
+    for _ in range(6):
+        chosen = rng.sample(labels, min(3, len(labels)))
+        yield {label: rng.randint(1, 3) for label in chosen}
+
+
+@pytest.mark.parametrize("pairs", [False, True])
+def test_decompose_round_trips_both_key_shapes(pairs):
+    """Nonnegative combinations of s_lam, and of s_lam(x) s_mu(y), at n <= 3
+    (the zero character included) decompose back to themselves; the
+    dominant part alone rebuilds the whole character by symmetrizing."""
+    rng = random.Random(12)
+    for n in range(1, 4):
+        for table in _random_tables(n, pairs, rng):
+            char = _character(table, n)
+            assert decompose_into_schur(char, n).entries == table
+            if pairs:
+                assert decompose_pair_into_schur(char, n).entries == table
+            dominant = {
+                key: c for key, c in char.items()
+                if all(list(b) == sorted(b, reverse=True)
+                       for b in (key if pairs else (key,)))}
+            assert symmetrize_counts(dominant, n) == char
+
+
+def test_pair_character_symmetric_in_rows_only_is_refused():
+    """Symmetric under the row group, not the column group: the column swap
+    is caught, naming the first pair of keys that disagree."""
+    n = 3
+    char = {(ex, (1, 0, 0)): c for ex, c in schur_character((2, 1), n).items()}
+    message = ("coefficient mismatch between ((2, 1, 0), (1, 0, 0)) "
+               "and ((2, 1, 0), (0, 1, 0))")
+    for decompose in (decompose_into_schur, decompose_pair_into_schur):
+        with pytest.raises(NonSymmetricInputError) as err:
+            decompose(char, n)
+        assert str(err.value) == message
+
+
+def test_pair_decomposition_rejects_negative_multiplicity():
+    n = 3
+    char = _character({((2,), (1,)): 1}, n)
+    for key, c in _character({((1, 1), (1,)): 1}, n).items():
+        char[key] = char.get(key, 0) - c
+    with pytest.raises(NegativeMultiplicityError,
+                       match=r"multiplicity -1 at \(\(1, 1\), \(1,\)\)"):
+        decompose_into_schur(char, n)
 
 
 def test_fmt_partition():

@@ -9,7 +9,7 @@ import pytest
 
 from tca_lab.algebra import (EquivariantIdeal, Span, VariableSystem,
                              highest_weight_vector, monomials_of_degree,
-                             poly_add, rep_closure, term, weight_subtract)
+                             poly_add, rep_closure, term)
 from tca_lab.errors import ParseError
 from tca_lab.partitions import decompose_into_schur
 from tca_lab.torlab import (
@@ -22,6 +22,7 @@ from tca_lab.torlab import (
     tor_table,
     _dominant_weights,
 )
+from test_algebra import oracle_weight_subtract
 
 
 def test_spec_sizes_and_triviality():
@@ -250,7 +251,7 @@ def occurring_weights(system, q):
 
 
 def oracle_chain_basis(komplex, p, q, w):
-    """Test every p-subset of variables, one weight_subtract per variable."""
+    """Test every p-subset of variables, one weight subtraction per variable."""
     system = komplex.system
     if p < 0 or q - p < 0:
         return []
@@ -258,7 +259,7 @@ def oracle_chain_basis(komplex, p, q, w):
     for T in combinations(system.variables(), p):
         rem = w
         for v in T:
-            rem = weight_subtract(system, rem, system.weight((v,)))
+            rem = oracle_weight_subtract(system, rem, system.weight((v,)))
             if rem is None:
                 break
         if rem is None:
@@ -460,3 +461,44 @@ def test_isotypic_family_runs_through_the_one_pipeline(flavor, lam):
         assert stab.tables[n].entry(1, d).entries == {
             _label(system.weight(top)): 1}
     assert stab == stabilization_report(generated, 2, d + 1, ranks)
+
+
+# -- the degree_one system runs the same Tor pipeline ------------------------
+
+DEGREE_ONE_3 = VariableSystem("degree_one", 3)
+
+
+def test_degree_one_linear_ideal_has_koszul_tor():
+    """The red variables x_1..x_3 (the orbit of x_1) form a regular
+    sequence of linear forms: Tor_{p,p} is the exterior power (1^p)."""
+    ideal = EquivariantIdeal.from_generators(DEGREE_ONE_3, [{((0, 1),): 1}])
+    assert tor_table(ideal, 4, 5).as_dict() == {
+        (0, 0): {(): 1}, (1, 1): {(1,): 1}, (2, 2): {(1, 1): 1},
+        (3, 3): {(1, 1, 1): 1}}
+
+
+def test_degree_one_two_by_two_minors_are_eagon_northcott():
+    """The 2x2 minors x_i y_j - x_j y_i of the 2x3 matrix with rows x and y:
+    three quadrics spanning (1,1), two linear syzygies spanning (1,1,1)
+    twice, nothing more (Eagon-Northcott)."""
+    minors = EquivariantIdeal.from_generators(
+        DEGREE_ONE_3, [{((0, 1), (1, 2)): 1, ((0, 2), (1, 1)): -1}])
+    want = {(0, 0): {(): 1}, (1, 2): {(1, 1): 1}, (2, 3): {(1, 1, 1): 2}}
+    assert tor_table(minors, 3, 5).as_dict() == want
+    assert tor_table(minors, 3, 5, sample_check_seed=7).as_dict() == want
+
+
+@pytest.mark.parametrize("flavor,top", [("symmetric", 4), ("antisymmetric", 4),
+                                        ("generic", 3), ("degree_one", 4)])
+def test_dominant_weights_cover_every_sorted_weight(flavor, top):
+    """Every weight of a degree-q monomial, sorted block by block, is one
+    of the dominant weights a Tor table computes at."""
+    for n in range(1, top + 1):
+        system = VariableSystem(flavor, n)
+        for q in range(5):
+            dominant = set(_dominant_weights(system, q))
+            for m in monomials_of_degree(system, q):
+                w = system.weight(m)
+                key = system.join([tuple(sorted(b, reverse=True))
+                                   for b in system.blocks(w)])
+                assert key in dominant, (n, q, w)
