@@ -11,7 +11,10 @@ for the argument in full.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -33,7 +36,7 @@ SANDBOX_UNIVERSE = 73
 SANDBOX_IDEALS = 10
 
 
-def criterion_1(rep, seed, budget):
+def criterion_1(rep, seed, budget, seeded):
     """Brute-force decompositions equal the closed product formulas."""
     checked = 0
     for flavor in MATRIX_FLAVORS:
@@ -50,7 +53,7 @@ def criterion_1(rep, seed, budget):
     return PASS, f"{checked} tables, exact"
 
 
-def criterion_2(rep, seed, budget):
+def criterion_2(rep, seed, budget, seeded):
     """Ideal lattice: block containment mirrors diagram containment."""
     lams = partitions_upto(3)
     cells = 0
@@ -68,7 +71,7 @@ def criterion_2(rep, seed, budget):
     return PASS, f"{cells} cells across three flavors at rank 6"
 
 
-def criterion_3(rep, seed, budget):
+def criterion_3(rep, seed, budget, seeded):
     """The four-member family: growth-incomparable, swap-comparable."""
     ns = (3, 4, 5, 6)
     gammas = {n: matchings.gamma_family(n) for n in ns}
@@ -152,10 +155,11 @@ def _closure_suite(seed):
     return results
 
 
-def criterion_4(rep, seed, budget):
+def criterion_4(rep, seed, budget, seeded):
     """Move closure of initial sets, rank 8, degree 4, ten ideals."""
     violations = []
-    for label, res in _closure_suite(seed):
+    seeded["closure"] = _closure_suite(seed)
+    for label, res in seeded["closure"]:
         rep.line(f"  {label}: initial set {res.initial_size}, "
                  f"moves checked {res.moves_checked}, "
                  f"violations {len(res.violations)}")
@@ -174,7 +178,7 @@ def criterion_4(rep, seed, budget):
     return PASS, "10 ideals closed"
 
 
-def criterion_5(rep, seed, budget):
+def criterion_5(rep, seed, budget, seeded):
     """Koszul engine oracles: d squared, hypersurfaces, exterior powers."""
     # Hypersurface: the principal determinant at ranks 2 and 3.
     for n, expect in ((2, {(2, 2): 1}), (3, {(2, 2, 2): 1})):
@@ -223,7 +227,7 @@ def criterion_5(rep, seed, budget):
     return PASS, "hypersurface, exterior powers, d squared"
 
 
-def criterion_6(rep, seed, budget):
+def criterion_6(rep, seed, budget, seeded):
     """Homology tables frozen between ranks 3 and 4, generic quadrics."""
     stab = torlab.stabilization_report(
         torlab.determinantal_family("generic", 1), 2, 4, (3, 4))
@@ -250,10 +254,11 @@ def _sandbox_suite(seed):
     return results
 
 
-def criterion_7(rep, seed, budget):
+def criterion_7(rep, seed, budget, seeded):
     """Degree-one control case: closures plus exact antichain width."""
     bad = []
-    for label, res in _sandbox_suite(seed):
+    seeded["sandbox"] = _sandbox_suite(seed)
+    for label, res in seeded["sandbox"]:
         if not res.closed:
             bad.append(label)
         rep.line(f"  {label}: initial {res.initial_size}, "
@@ -278,30 +283,66 @@ def criterion_7(rep, seed, budget):
     return PASS, f"{SANDBOX_IDEALS} closures, width {width}"
 
 
-def _determinism_digest(seed):
-    """A canonical rendering of everything in the suite that consumes the seed."""
+def _digest(seeded):
+    """A canonical rendering of everything in the suite that consumes the
+    seed: the results of the closure and sandbox suites."""
     digest = []
-    for label, res in _closure_suite(seed):
+    for label, res in seeded["closure"]:
         digest.append((label, res.initial_size, res.moves_checked,
                        [(fmt_matching(g), fmt_move(m), fmt_matching(t))
                         for g, m, t in res.violations]))
-    for label, res in _sandbox_suite(seed):
+    for label, res in seeded["sandbox"]:
         digest.append((label, res.initial_size, res.moves_checked,
                        [(fmt_colored_set(s), fmt_move(m), fmt_colored_set(t))
                         for s, m, t in res.violations]))
     return json.dumps(digest, sort_keys=True).encode()
 
 
-def criterion_8(rep, seed, budget):
-    """Seeded reruns are byte-identical; tests double-run the whole command."""
-    first = _determinism_digest(seed)
-    second = _determinism_digest(seed)
-    if first != second:
-        return FAIL, "seeded suites diverged between two runs"
-    rep.line(f"  seeded suites re-executed and re-rendered byte-identically "
-             f"({len(first)} digest bytes); the test suite additionally "
-             "compares two full command runs")
-    return PASS, "seeded reruns byte-identical"
+def seeded_digest(seed):
+    """The digest of both seeded suites computed afresh; criterion 8's
+    rerun prints it."""
+    return _digest({"closure": _closure_suite(seed),
+                    "sandbox": _sandbox_suite(seed)})
+
+
+def _rerun_env(environ):
+    """Environment of criterion 8's rerun: this copy of the package first
+    on PYTHONPATH, and a hash seed other than the one in ``environ`` (one
+    more when it is a number, 1 otherwise), so the rerun meets another
+    hash order while the report stays the same from run to run."""
+    env = dict(environ)
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (package_root, environ.get("PYTHONPATH"))))
+    current = environ.get("PYTHONHASHSEED", "")
+    env["PYTHONHASHSEED"] = (str((int(current) + 1) % 2**32)
+                             if current.isdigit() else "1")
+    return env
+
+
+def criterion_8(rep, seed, budget, seeded):
+    """The seeded suites rerun byte-identically in a fresh interpreter
+    under another hash seed."""
+    here = _digest(seeded)
+    code = (f"import sys; from {__name__} import {seeded_digest.__name__}"
+            " as rerun; sys.stdout.buffer.write(rerun(int(sys.argv[1])))")
+    try:
+        child = subprocess.run([sys.executable, "-c", code, str(seed)],
+                               capture_output=True, env=_rerun_env(os.environ))
+    except OSError as exc:
+        return FAIL, f"the rerun did not start: {exc}"
+    if child.returncode != 0:
+        lines = [line for line in child.stderr.decode(
+            errors="replace").splitlines() if line.strip()]
+        return FAIL, (f"the rerun exited with code {child.returncode}: "
+                      f"{lines[-1] if lines else '(no stderr)'}")
+    if child.stdout != here:
+        return FAIL, ("seeded suites diverged in a fresh interpreter under "
+                      "another hash seed")
+    rep.line(f"  seeded suites of criteria 4 and 7 rerun in a fresh "
+             f"interpreter under another hash seed: {len(here)} digest "
+             "bytes, byte-identical")
+    return PASS, "fresh-interpreter rerun byte-identical"
 
 
 CRITERIA = (
@@ -319,10 +360,11 @@ CRITERIA = (
 def run_all(seed, budget=None):
     rep = Report("accept", config={
         "budget": budget if budget is not None else "default"}, seed=seed)
+    seeded = {}   # suite results that criteria 4 and 7 compute and 8 reuses
     for number, slug, fn in CRITERIA:
         rep.line(f"criterion {number}: {slug}")
         try:
-            verdict, detail = fn(rep, seed, budget)
+            verdict, detail = fn(rep, seed, budget, seeded)
         except SearchBudgetExceededError as exc:
             verdict, detail = INCONCLUSIVE, str(exc)
         rep.check(f"criterion {number} ({slug})", verdict, detail)

@@ -51,11 +51,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import (accumulate, combinations, combinations_with_replacement,
-                       product)
+from itertools import accumulate, combinations, product
 from math import gcd, lcm
 
-from .errors import ZeroVectorError
 from .partitions import MATRIX_FLAVORS, flavor_variables, poly_add
 from .matchings import (
     colored_key,
@@ -357,10 +355,6 @@ def rep_closure(system, gens):
 # Monomial enumeration by degree and weight.
 
 
-def monomials_of_degree(system, d):
-    return list(combinations_with_replacement(system.variables(), d))
-
-
 def monomials_of_weight(system, d, w):
     """All degree-``d`` monomials of exact weight ``w``, in one fixed order.
 
@@ -560,13 +554,6 @@ def block_vanishes(system, lam):
     return len(lam) > system.rank
 
 
-def hw_weight(system, lam):
-    """Weight of the isotypic block's highest vector."""
-    hwv = highest_weight_vector(system, lam)
-    mono = next(iter(hwv))
-    return system.weight(mono)
-
-
 # ---------------------------------------------------------------------------
 # Weight slices of one isotypic block (used by lazily generated ideals):
 # relabelled from dominant weights, which are lowered by simple roots.
@@ -660,7 +647,6 @@ class EquivariantIdeal:
         self._hw = None              # (hwv, degree, weight) when lazy
         self._lazy_cache = {}        # (degree, weight) -> slice, when lazy
         self._dominant_cache = {}    # dominant weight -> slice, when lazy
-        self._component_cache = {}
         self._monomial_cache = {}    # (degree, weight) -> monomials_of_weight
 
     # -- construction -----------------------------------------------------
@@ -714,9 +700,6 @@ class EquivariantIdeal:
 
     def component_span(self, d, w):
         """Echelonized degree-d, weight-w slice of the ideal."""
-        key = (d, w)
-        if key in self._component_cache:
-            return self._component_cache[key]
         span = Span()
         for e in self.gen_degrees():
             rem = d - e
@@ -737,27 +720,7 @@ class EquivariantIdeal:
                 for mono in monos:
                     for g in gens:
                         span.add(mono_mul_poly(mono, g))
-        self._component_cache[key] = span
         return span
-
-    def component(self, d):
-        """Full degree-d slice, one weight at a time."""
-        groups = {}
-        for mono in monomials_of_degree(self.system, d):
-            groups.setdefault(self.system.weight(mono), None)
-        out = []
-        for w in groups:
-            out.extend(self.component_span(d, w).vectors())
-        return out
-
-    def contains(self, p):
-        """Exact membership test for a polynomial."""
-        for (w, piece) in weight_split(self.system, p).items():
-            d = len(next(iter(piece)))
-            if not self.component_span(d, w).contains(piece):
-                return False
-        return True
-
 
 def ideal_contains_isotypic(ideal, mu):
     """Whether the whole isotypic block labelled ``mu`` sits in the ideal.
@@ -789,35 +752,6 @@ def indicator_weight(n, support):
 
 def vector_to_matching_coords(vec):
     return {matching(m): c for m, c in vec.items()}
-
-
-def initial_matching(coords):
-    """Largest matching carrying a nonzero coefficient."""
-    support = [g for g, c in coords.items() if c]
-    if not support:
-        raise ZeroVectorError("zero vector has no initial matching")
-    return max(support, key=matching_key)
-
-
-def admissible_component(system, vectors, support):
-    """Weight slice of the span of ``vectors`` at the 0/1 indicator weight of
-    ``support``, in matching coordinates.  Empty for odd supports.
-
-    The span must be stable under the diagonal (torus) action — true of any
-    graded ideal piece — so its indicator-weight subspace is spanned by the
-    indicator-weight parts of the given vectors."""
-    support = tuple(sorted(set(support)))
-    if len(support) % 2:
-        return []
-    if system.flavor not in MATCHING_FLAVORS:
-        raise ValueError("admissible slices need a symmetric or antisymmetric system")
-    w = indicator_weight(system.rank, support)
-    span = Span()
-    for v in vectors:
-        piece = weight_split(system, v).get(w)
-        if piece:
-            span.add(piece)
-    return [vector_to_matching_coords(v) for v in span.vectors()]
 
 
 def colored_coords(vec):
@@ -916,73 +850,3 @@ def verify_move_closure(ideal, degree_bound, support_bound):
         violations=violations,
         flavor=ideal.system.flavor,
     )
-
-
-# ---------------------------------------------------------------------------
-# Small exact kernel solver, used to cross-check highest weight vectors.
-
-
-def raising_kernel(system, d, w):
-    """Basis of the degree-d weight-w vectors killed by every raising
-    operator act(a, a+1) (both sides for the generic system)."""
-    monos = monomials_of_weight(system, d, w)
-    if not monos:
-        return []
-    ops = []
-    for side in system.sides():
-        for a in range(1, system.rank):
-            ops.append((a, a + 1, side))
-    rows = []   # one row per (op, target monomial): constraint on coefficients
-    images = []
-    for m in monos:
-        per_op = []
-        for a, b, side in ops:
-            per_op.append(lie_act(system, a, b, {m: Fraction(1)}, side))
-        images.append(per_op)
-    targets = {}
-    for per_op in images:
-        for k, img in enumerate(per_op):
-            for t in img:
-                targets.setdefault((k, t), len(targets))
-    mat = [[Fraction(0)] * len(monos) for _ in range(len(targets))]
-    for j, per_op in enumerate(images):
-        for k, img in enumerate(per_op):
-            for t, c in img.items():
-                mat[targets[(k, t)]][j] += c
-    basis = _nullspace(mat, len(monos))
-    return [
-        {m: c for m, c in zip(monos, vec) if c}
-        for vec in basis
-    ]
-
-
-def _nullspace(mat, ncols):
-    rows = [row[:] for row in mat]
-    pivot_of_col = {}
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivot_of_col[c] = r
-        r += 1
-    free = [c for c in range(ncols) if c not in pivot_of_col]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for c, pr in pivot_of_col.items():
-            vec[c] = -rows[pr][fc]
-        basis.append(vec)
-    return basis

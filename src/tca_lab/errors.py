@@ -30,10 +30,6 @@ class IndexTooSmallError(TcaLabError):
     """A family member was requested below the smallest defined index."""
 
 
-class ZeroVectorError(TcaLabError):
-    """The zero vector has no leading term."""
-
-
 class DegreeOverflowError(TcaLabError):
     """A computation would exceed its configured degree bound."""
 

@@ -72,11 +72,6 @@ def edge_key(e):
     return (e[1], e[0])
 
 
-def edge_leq(e1, e2) -> bool:
-    """Edge comparison: larger endpoint decides, then smaller endpoint."""
-    return edge_key(e1) <= edge_key(e2)
-
-
 def matching(edges):
     """Canonicalize an iterable of edges; reject loops and repeated labels."""
     seen = set()
@@ -121,10 +116,6 @@ def label_sum(g) -> int:
 def matching_key(g):
     """Sort key realizing the total order on matchings."""
     return (len(g), tuple(sorted((edge_key(e) for e in g), reverse=True)))
-
-
-def matching_leq(a, b) -> bool:
-    return matching_key(a) <= matching_key(b)
 
 
 def fmt_matching(g) -> str:

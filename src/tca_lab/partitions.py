@@ -99,60 +99,6 @@ def hook_content_dim(lam, n) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Littlewood-Richardson coefficients by skew tableau enumeration.
-
-
-@lru_cache(maxsize=None)
-def lr_coefficient(lam, mu, nu) -> int:
-    """Number of LR skew tableaux of shape nu/lam and content mu.
-
-    Cells are filled in reading order (rows top to bottom, right to left
-    within a row); the running content prefix must stay a lattice word,
-    rows weakly increase left to right, columns strictly increase.
-    """
-    lam, mu, nu = partition(lam), partition(mu), partition(nu)
-    if sum(lam) + sum(mu) != sum(nu) or not contains(lam, nu):
-        return 0
-    if not mu:
-        return 1 if lam == nu else 0
-    rows = len(nu)
-    inner = tuple(lam[i] if i < len(lam) else 0 for i in range(rows))
-    cells = []
-    for r in range(rows):
-        for c in range(nu[r] - 1, inner[r] - 1, -1):
-            cells.append((r, c))
-
-    grid = [[0] * nu[r] for r in range(rows)]
-    counts = [0] * (len(mu) + 2)
-
-    def fill(k):
-        if k == len(cells):
-            return 1
-        r, c = cells[k]
-        hi = len(mu)
-        if c + 1 < nu[r] and grid[r][c + 1]:
-            hi = min(hi, grid[r][c + 1])
-        lo = 1
-        if r > 0 and inner[r - 1] <= c < nu[r - 1]:
-            # the cell directly above belongs to the filling and is set already
-            lo = max(lo, grid[r - 1][c] + 1)
-        total = 0
-        for v in range(lo, hi + 1):
-            if counts[v] >= mu[v - 1]:
-                continue
-            if v > 1 and counts[v - 1] <= counts[v]:
-                continue  # placing v would break the lattice condition
-            counts[v] += 1
-            grid[r][c] = v
-            total += fill(k + 1)
-            grid[r][c] = 0
-            counts[v] -= 1
-        return total
-
-    return fill(0)
-
-
-# ---------------------------------------------------------------------------
 # Schur polynomials by semistandard tableau enumeration.
 
 
@@ -193,11 +139,6 @@ def _schur_cached(lam, n):
     return out
 
 
-def schur_character(lam, n) -> dict:
-    """Schur polynomial s_lam in n variables as an exponent->coefficient dict."""
-    return dict(_schur_cached(partition(lam), n))
-
-
 @lru_cache(maxsize=None)
 def _schur_of_blocks(parts, n):
     """s_lam, or s_lam(x) * s_mu(y) for two blocks, keyed like the
@@ -208,11 +149,6 @@ def _schur_of_blocks(parts, n):
     for terms in product(*(_schur_cached(part, n).items() for part in parts)):
         out[_from_blocks([e for e, _ in terms])] = prod(c for _, c in terms)
     return out
-
-
-def schur_dim(lam, n) -> int:
-    """Tableau-count dimension; cross-checkable against hook_content_dim."""
-    return sum(_schur_cached(partition(lam), n).values())
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +164,6 @@ def poly_add(acc, poly, scale=1):
         else:
             acc.pop(k, None)
     return acc
-
-
-def poly_product(p, q):
-    """Product of two exponent-dict polynomials over the same variable set."""
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            c = out.get(key, 0) + c1 * c2
-            if c:
-                out[key] = c
-            else:
-                del out[key]
-    return out
 
 
 def _key_blocks(key):
@@ -307,9 +229,6 @@ class CharacterTable:
     entries: dict
     rank: int
 
-    def multiplicity(self, key):
-        return self.entries.get(key, 0)
-
     def is_multiplicity_free(self) -> bool:
         return all(v == 1 for v in self.entries.values())
 
@@ -340,12 +259,21 @@ def decompose_into_schur(p, n) -> CharacterTable:
     """Expand a symmetric polynomial in the Schur basis.
 
     Keys are exponent tuples, or (row exponent, col exponent) pairs
-    expanded in the products s_lam(x) * s_mu(y).  Raises
-    NonSymmetricInputError for non-symmetric input and
-    NegativeMultiplicityError when a negative coefficient appears: the
+    expanded in the products s_lam(x) * s_mu(y).  Raises ValueError
+    unless every key has the same number of blocks, each of length ``n``
+    (the subtracted Schur polynomials have that shape, so any other key
+    would never cancel), NonSymmetricInputError for non-symmetric input
+    and NegativeMultiplicityError when a negative coefficient appears: the
     input must be a genuine character, not a virtual one.
     """
     work = {k: _as_exact(v) for k, v in p.items() if v}
+    shape = None
+    for key in work:
+        lengths = tuple(map(len, _key_blocks(key)))
+        shape = shape or (n,) * len(lengths)
+        if lengths != shape:
+            raise ValueError(f"character key {key} does not have the "
+                             f"block lengths {shape}")
     _check_symmetric(work, n)
     # Schur polynomials are homogeneous: each degree expands on its own,
     # top degree first, and its leading exponent is the largest key

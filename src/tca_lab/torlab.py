@@ -292,9 +292,6 @@ class TorTable:
     entries: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
-    def entry(self, p, q):
-        return self.entries.get((p, q))
-
     def cells(self):
         return sorted(self.entries)
 
@@ -393,12 +390,6 @@ class StabilizationReport:
     first_stable: dict      # (p, q) -> first n from which entries agree, or None
     labels_per_p: dict      # p -> {n -> sorted labels of Tor_p at rank n}
     bounded: dict           # p -> label set of Tor_p the same at every rank
-    convention: str = ("labels compared literally; labels needing more rows "
-                       "than the rank are absent by construction")
-
-    @property
-    def stable_pairs(self):
-        return {pq for pq, n in self.first_stable.items() if n is not None}
 
     @property
     def never_stabilized(self):
@@ -432,20 +423,16 @@ def stabilization_report(family, p_max, q_max, n_range):
     cells = set()
     for e in entries.values():
         cells.update(e)
+    # the top rank of a longer range has no rank above it to confirm a cell
+    candidates = n_range[:-1] if len(n_range) > 1 else n_range
     first_stable = {}
     for pq in sorted(cells):
-        first = None
-        for i, n in enumerate(n_range):
+        first_stable[pq] = None
+        for i, n in enumerate(candidates):
             here = entries[n].get(pq, {})
             if all(entries[m].get(pq, {}) == here for m in n_range[i:]):
-                first = n
+                first_stable[pq] = n
                 break
-        # a cell that only the last rank can see never gets confirmation
-        if first == n_range[-1] and len(n_range) > 1:
-            prev = entries[n_range[-2]].get(pq, {})
-            if prev != entries[n_range[-1]].get(pq, {}):
-                first = None
-        first_stable[pq] = first
     labels_per_p = {p: {} for p in range(p_max + 1)}
     for n, e in entries.items():
         for p, per_n in labels_per_p.items():

@@ -11,10 +11,18 @@ FAIL by design; every other criterion must pass.  The README carries
 the full argument.
 """
 
+import dataclasses
+import os
+import subprocess
+import sys
+
 import pytest
 
-from tca_lab import cli
-from tca_lab.acceptance import run_all
+import tca_lab
+from tca_lab import acceptance, cli
+from tca_lab.acceptance import (_closure_suite, _rerun_env, _sandbox_suite,
+                                criterion_8, run_all)
+from tca_lab.reports import FAIL, Report
 
 pytestmark = pytest.mark.slow
 
@@ -113,3 +121,47 @@ def test_accept_command_runs_are_byte_identical(capsys):
     assert out_a and out_a == out_b
     assert "verdict: FAIL" in out_a
     assert "seed: 7" in out_a
+
+
+def test_criterion_8_fails_when_one_initial_size_differs_from_the_rerun():
+    """The rerun in a fresh interpreter is unchanged; one corrupted initial
+    size in this process's results is enough to fail the criterion."""
+    seeded = {"closure": _closure_suite(PINNED_SEED),
+              "sandbox": _sandbox_suite(PINNED_SEED)}
+    label, res = seeded["closure"][0]
+    seeded["closure"][0] = (label, dataclasses.replace(
+        res, initial_size=res.initial_size + 1))
+    rep = Report("accept", seed=PINNED_SEED)
+    verdict, detail = criterion_8(rep, PINNED_SEED, None, seeded)
+    assert verdict == FAIL
+    assert detail == ("seeded suites diverged in a fresh interpreter under "
+                      "another hash seed")
+
+
+def test_rerun_imports_this_package_under_another_hash_seed():
+    for parent, child in (("5", "6"), ("4294967295", "0"), ("0", "1"),
+                          ("random", "1"), (None, "1")):
+        environ = {} if parent is None else {"PYTHONHASHSEED": parent}
+        assert _rerun_env(environ)["PYTHONHASHSEED"] == child
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import tca_lab; print(hash('tca-lab')); print(tca_lab.__file__)"],
+        env=_rerun_env(os.environ), capture_output=True, text=True, check=True)
+    hashed, path = probe.stdout.splitlines()
+    assert int(hashed) != hash("tca-lab")
+    assert os.path.samefile(path, tca_lab.__file__)
+
+
+def test_criterion_8_fails_without_a_traceback_when_the_rerun_fails(
+        monkeypatch, tmp_path):
+    empty = {"closure": [], "sandbox": []}
+    monkeypatch.setattr(acceptance, "_rerun_env", lambda environ: dict(
+        environ, PYTHONHASHSEED="not-a-seed"))
+    verdict, detail = criterion_8(Report("accept"), PINNED_SEED, None, empty)
+    assert verdict == FAIL
+    prefix = "the rerun exited with code 1: "
+    assert detail.startswith(prefix) and len(detail) > len(prefix)
+    monkeypatch.setattr(sys, "executable", str(tmp_path / "missing-python"))
+    verdict, detail = criterion_8(Report("accept"), PINNED_SEED, None, empty)
+    assert verdict == FAIL
+    assert detail.startswith("the rerun did not start: ")

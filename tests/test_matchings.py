@@ -25,7 +25,7 @@ from tca_lab.matchings import (
     colored_set,
     degree_one_leq,
     degree_one_moves,
-    edge_leq,
+    edge_key,
     family_rotation_chain,
     fmt_colored_set,
     fmt_matching,
@@ -36,7 +36,6 @@ from tca_lab.matchings import (
     leq_type1,
     matching,
     matching_key,
-    matching_leq,
     max_antichain,
     max_matching,
     max_vertex,
@@ -67,20 +66,22 @@ def test_matching_canonicalization():
 
 
 def test_edge_order():
-    assert edge_leq((1, 2), (1, 3))
-    assert edge_leq((1, 3), (2, 3))
-    assert not edge_leq((2, 3), (1, 3))
-    assert edge_leq((2, 3), (1, 4))
+    assert edge_key((1, 2)) <= edge_key((1, 3))
+    assert edge_key((1, 3)) <= edge_key((2, 3))
+    assert not edge_key((2, 3)) <= edge_key((1, 3))
+    assert edge_key((2, 3)) <= edge_key((1, 4))
 
 
 def test_total_order_fixtures():
     # fewer edges first
-    assert matching_leq(matching([(1, 2)]), ALIGNED)
-    assert matching_leq(matching([(1, 2)]), matching([(1, 3)]))
+    assert matching_key(matching([(1, 2)])) <= matching_key(ALIGNED)
+    assert matching_key(matching([(1, 2)])) <= matching_key(matching([(1, 3)]))
     # on four labels the pictures sort nested, crossing, aligned
-    assert matching_leq(NESTED, CROSSING) and not matching_leq(CROSSING, NESTED)
-    assert matching_leq(CROSSING, ALIGNED) and not matching_leq(ALIGNED, CROSSING)
-    assert matching_leq(NESTED, NESTED)
+    assert matching_key(NESTED) <= matching_key(CROSSING)
+    assert not matching_key(CROSSING) <= matching_key(NESTED)
+    assert matching_key(CROSSING) <= matching_key(ALIGNED)
+    assert not matching_key(ALIGNED) <= matching_key(CROSSING)
+    assert matching_key(NESTED) <= matching_key(NESTED)
 
 
 def test_fmt_matching_prints_largest_edge_first():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -15,15 +16,13 @@ from tca_lab.partitions import (
     decompose_pair_into_schur,
     fmt_partition,
     hook_content_dim,
-    lr_coefficient,
     partitions_of,
     partitions_upto,
-    poly_product,
-    schur_character,
-    schur_dim,
     symmetrize_counts,
     transpose,
 )
+
+from oracles import lr_coefficient, poly_product, schur_character, schur_dim
 
 
 def all_partitions_upto(size):
@@ -159,12 +158,26 @@ def test_lr_against_character_products():
             prod = poly_product(schur_character(mu, n), schur_character(nu, n))
             table = decompose_into_schur(prod, n)
             for lam in partitions_of(sum(mu) + sum(nu), max_rows=n):
-                assert table.multiplicity(lam) == lr_coefficient(mu, nu, lam)
+                assert table.entries.get(lam, 0) == lr_coefficient(mu, nu, lam)
 
 
 def test_decompose_rejects_nonsymmetric():
     with pytest.raises(NonSymmetricInputError):
         decompose_into_schur({(1, 0): 1}, 2)
+
+
+@pytest.mark.parametrize("char, n, bad", [
+    ({(1, 0, 0, 0): 1, (0, 1, 0, 0): 1}, 2, (1, 0, 0, 0)),
+    ({(1, 0, 0): 1, (0, 1, 0): 1}, 2, (1, 0, 0)),
+    ({((1, 0), (1,)): 1, ((0, 1), (1,)): 1}, 2, ((1, 0), (1,))),
+    ({(1, 0): 1, ((1, 0), (0, 1)): 1}, 2, ((1, 0), (0, 1))),
+])
+def test_decompose_rejects_keys_of_the_wrong_shape(char, n, bad):
+    """Every key must be the same number of blocks of n labels: the Schur
+    polynomials subtracted have that shape, so another key would never
+    cancel.  The check runs before the expansion loop."""
+    with pytest.raises(ValueError, match=re.escape(f"character key {bad} ")):
+        decompose_into_schur(char, n)
 
 
 def test_decompose_rejects_negative_multiplicity():
@@ -176,8 +189,8 @@ def test_decompose_rejects_negative_multiplicity():
 
 def test_character_table_api():
     table = CharacterTable({(2,): 1, (1, 1): 2}, 2)
-    assert table.multiplicity((2,)) == 1
-    assert table.multiplicity((9,)) == 0
+    assert table.entries.get((2,), 0) == 1
+    assert table.entries.get((9,), 0) == 0
     assert not table.is_multiplicity_free()
     assert table.sorted_items() == [((1, 1), 2), ((2,), 1)]
     assert table.total_dim() == 3 + 2 * 1

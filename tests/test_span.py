@@ -20,12 +20,13 @@ from tca_lab.algebra import (
     VariableSystem,
     block_vanishes,
     highest_weight_vector,
-    monomials_of_degree,
     monomials_of_weight,
     rep_closure,
 )
 from tca_lab.partitions import partitions_upto
 from tca_lab.torlab import DeterminantalIdealSpec, determinantal_ideal
+
+from oracles import monomials_of_degree
 
 
 class FractionSpan:
