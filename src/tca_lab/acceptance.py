@@ -215,7 +215,7 @@ def criterion_5(rep, seed, budget, seeded):
                  "powers up to p=3")
         # Explicit d-squared sweep over every strand of this complex.
         ideal = torlab.determinantal_ideal(spec)
-        komplex = torlab.KoszulComplex(system, ideal, 3, 3)
+        komplex = torlab.KoszulComplex(ideal, 3)
         for q in range(4):
             for w in torlab._dominant_weights(system, q):
                 for x in komplex.chain_basis(2, q, w) + komplex.chain_basis(3, q, w):

@@ -1,22 +1,25 @@
 """Batch command-line surface.
 
-Subcommands::
+Commands and actions, each with only the flags it reads::
 
-    tca-lab decompose  --flavor F --degree d --rank n
-    tca-lab poset      verify-example | compare G G' | antichain [type1|full] | sandbox
-    tca-lab ideal      lattice | initial-set | move-closure  [--input FILE]
-    tca-lab tor        --flavor F --rank r --pmax p --degree q --nrange a..b
-    tca-lab accept     [--seed S] [--budget B]
+    tca-lab decompose  [--flavor F] [--rank n] [--degree d]
+    tca-lab poset verify-example  [--nrange a..b] [--budget B]
+    tca-lab poset compare A B  [--budget B]
+    tca-lab poset antichain [type1|full]  [--degree k] [--rank n] [--budget B]
+    tca-lab poset sandbox  [--rank n] [--degree d] [--seed S]
+    tca-lab ideal lattice  [--flavor F] [--rank n] [--degree d]
+    tca-lab ideal initial-set|move-closure  --input FILE [--degree d] [--rank n]
+    tca-lab tor  [--flavor F] [--rank r] [--pmax p] [--degree q] [--nrange a..b]
+    tca-lab accept  [--seed S] [--budget B]
 
-In the ``tor`` subcommand ``--rank`` is the matrix rank bound of the
-determinantal ideal (the algebra's own rank comes from ``--nrange``);
-everywhere else it is the number of variables per row, i.e. the rank of
-the acting group.
+Every action also takes ``--output FILE``.  In the ``tor`` subcommand
+``--rank`` is the matrix rank bound of the determinantal ideal (the
+algebra's own rank comes from ``--nrange``); everywhere else it is the
+number of variables per row, i.e. the rank of the acting group.
 
 Exit codes: 0 every check passed, 2 some check failed, 3 a search
-budget was exhausted before a verdict, 4 malformed input.  The
-environment variable TCA_LAB_BUDGET overrides the default search budget;
-an explicit ``--budget`` wins over both.
+budget was exhausted before a verdict, 4 malformed input, a flag the
+action does not read included.
 """
 
 import argparse
@@ -35,21 +38,6 @@ from .partitions import (algebra_closed_formula, contains, decompose_algebra,
 from .reports import EXIT_INPUT_ERROR, INCONCLUSIVE, Report
 
 DEFAULT_SEED = 1729
-
-
-def _budget(args):
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("TCA_LAB_BUDGET")
-    if env is not None:
-        try:
-            budget = int(env)
-        except ValueError:
-            raise ParseError(f"TCA_LAB_BUDGET must be an integer, got {env!r}")
-        if budget < 0:
-            raise ParseError(f"TCA_LAB_BUDGET must be >= 0, got {env!r}")
-        return budget
-    return None
 
 
 def parse_nrange(text):
@@ -98,7 +86,28 @@ def cmd_decompose(args):
 # poset
 
 
-def _poset_verify(rep, ns, budget):
+def _budgeted(action):
+    """A poset action run under ``--budget``: the budget goes into the
+    config, and a search that runs out of it ends the report with an
+    INCONCLUSIVE check (exit 3) after what was decided so far."""
+    def cmd(args):
+        rep = Report("poset " + args.action)
+        if args.budget is not None:
+            rep.config["budget"] = args.budget
+        try:
+            action(rep, args)
+        except SearchBudgetExceededError as exc:
+            rep.check("search-budget", INCONCLUSIVE, str(exc))
+        return rep
+    return cmd
+
+
+@_budgeted
+def _poset_verify(rep, args):
+    ns, budget = args.nrange, args.budget
+    rep.config["nrange"] = ",".join(map(str, ns))
+    if min(ns) < 3:
+        raise ParseError("family members are defined from index 3 up")
     gammas = {n: matchings.gamma_family(n) for n in ns}
     incomparable = True
     for a in ns:
@@ -142,15 +151,12 @@ def _poset_verify(rep, ns, budget):
                    grows_into_next=chain["grows_into_next"])
 
 
-def _poset_compare(rep, args, budget):
-    if len(args.extra) != 2:
-        raise ParseError("compare wants exactly two matchings, e.g. "
-                         '"{(1,2)}" "{(2,3)}"')
-    a = parse_matching(args.extra[0])
-    b = parse_matching(args.extra[1])
+@_budgeted
+def _poset_compare(rep, args):
+    a, b = parse_matching(args.a), parse_matching(args.b)
     rep.line(f"comparing {fmt_matching(a)} against {fmt_matching(b)}")
-    growth = matchings.leq_type1(a, b, budget)
-    full, moves = matchings.leq_full(a, b, budget, witness=True)
+    growth = matchings.leq_type1(a, b, args.budget)
+    full, moves = matchings.leq_full(a, b, args.budget, witness=True)
     rep.line(f"growth-only: {'<=' if growth else 'not <='}")
     rep.line(f"with swaps:  {'below' if full else 'not below'}")
     if full:
@@ -165,13 +171,10 @@ def _poset_compare(rep, args, budget):
               f"growth={growth} swaps={full}")
 
 
-def _poset_antichain(rep, args, budget):
-    order = args.extra[0] if args.extra else "full"
-    if order not in ("type1", "full"):
-        raise ParseError(f"antichain order must be type1 or full, got {order!r}")
-    k = args.degree if args.degree is not None else 2
-    bound = args.rank if args.rank is not None else 6
-    found = matchings.antichain_search(k, bound, order=order, budget=budget)
+@_budgeted
+def _poset_antichain(rep, args):
+    order, k, bound = args.order, args.degree, args.rank
+    found = matchings.antichain_search(k, bound, order=order, budget=args.budget)
     rep.line(f"{len(found)} pairwise-incomparable matchings with {k} edges "
              f"on vertices 1..{bound} under the "
              f"{'growth-only' if order == 'type1' else 'full'} order:")
@@ -182,17 +185,15 @@ def _poset_antichain(rep, args, budget):
     rep.check("antichain-found", True, f"size {len(found)}")
 
 
-def _poset_sandbox(rep, args):
-    rank = args.rank if args.rank is not None else 6
-    degree = args.degree if args.degree is not None else 2
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
+def _poset_sandbox(args):
+    rank, degree = args.rank, args.degree
     if not 1 <= degree <= rank:
         raise ParseError(f"sandbox --degree must be between 1 and --rank ({rank}), "
                          f"got {degree}")
-    rep.config.update({"rank": rank, "degree": degree})
-    rep.seed = seed
+    rep = Report("poset sandbox", config={"rank": rank, "degree": degree},
+                 seed=args.seed)
     all_closed = True
-    for ideal in sandbox_ideals(seed, rank, degree):
+    for ideal in sandbox_ideals(args.seed, rank, degree):
         res = algebra.verify_move_closure(ideal, degree, rank)
         all_closed = all_closed and res.closed
         rep.line(f"{ideal.label}: initial set {res.initial_size}, "
@@ -213,28 +214,6 @@ def _poset_sandbox(rep, args):
                antichain=[fmt_colored_set(s)
                           for s in sorted(ac, key=matchings.colored_key)])
     rep.check("sandbox-width-computed", True, f"width {width}")
-
-
-def cmd_poset(args):
-    rep = Report("poset " + args.subtask, seed=args.seed)
-    budget = _budget(args)
-    if budget is not None:
-        rep.config["budget"] = budget
-    try:
-        if args.subtask == "verify-example":
-            ns = args.nrange or (3, 4, 5)
-            rep.config["nrange"] = ",".join(map(str, ns))
-            if min(ns) < 3:
-                raise ParseError("family members are defined from index 3 up")
-            _poset_verify(rep, ns, budget)
-        elif args.subtask == "compare":
-            _poset_compare(rep, args, budget)
-        elif args.subtask == "antichain":
-            _poset_antichain(rep, args, budget)
-        else:
-            _poset_sandbox(rep, args)
-    except SearchBudgetExceededError as exc:
-        rep.check("search-budget", INCONCLUSIVE, str(exc))
     return rep
 
 
@@ -242,11 +221,10 @@ def cmd_poset(args):
 # ideal
 
 
-def _ideal_lattice(rep, args):
-    flavor = args.flavor
-    rank = args.rank if args.rank is not None else 6
-    size = args.degree if args.degree is not None else 2
-    rep.config.update({"flavor": flavor, "rank": rank, "size_bound": size})
+def _ideal_lattice(args):
+    flavor, rank, size = args.flavor, args.rank, args.degree
+    rep = Report("ideal lattice", config={"flavor": flavor, "rank": rank,
+                                          "size_bound": size})
     lams = partitions_upto(size)
     system = VariableSystem(flavor, rank)
     ideals = {lam: EquivariantIdeal.isotypic(system, lam) for lam in lams}
@@ -272,30 +250,31 @@ def _ideal_lattice(rep, args):
                  f"engine {got}, containment predicts {want}")
     rep.check("lattice-matches-containment", not mismatches,
               f"{len(lams)}x{len(lams)} table")
+    return rep
 
 
-def _load_input_ideal(rep, args):
-    """Read ``--input``, report its setup; return (ideal, degree, bound)."""
-    if not args.input:
-        raise ParseError("this check needs --input FILE")
+def _load_input_ideal(args):
+    """Read ``--input`` and open the report with its setup; return
+    (report, ideal, degree, support bound)."""
     system, gens = load_ideal_file(args.input)
     if system.flavor not in INITIAL_DATA_FLAVORS:
         raise ParseError("initial sets are defined for "
                          f"{', '.join(INITIAL_DATA_FLAVORS)} ideals, "
                          f"not {system.flavor}")
-    degree = args.degree if args.degree is not None else 3
+    degree = args.degree
     bound = min(args.rank, system.rank) if args.rank is not None else system.rank
-    rep.config.update({"flavor": system.flavor, "rank": system.rank,
-                       "degree": degree, "support_bound": bound})
+    rep = Report("ideal " + args.action, config={
+        "flavor": system.flavor, "rank": system.rank, "degree": degree,
+        "support_bound": bound})
     for g in gens:
         rep.line(f"generator: {format_poly(g)}")
     label = os.path.basename(args.input)
     ideal = EquivariantIdeal.from_generators(system, gens, label=label)
-    return ideal, degree, bound
+    return rep, ideal, degree, bound
 
 
-def _ideal_initial_set(rep, args):
-    ideal, degree, bound = _load_input_ideal(rep, args)
+def _ideal_initial_set(args):
+    rep, ideal, degree, bound = _load_input_ideal(args)
     inset = algebra.initial_set(ideal, degree, bound)
     rep.line(f"{len(inset)} initial matchings within degree {degree}, "
              f"support 1..{bound}:")
@@ -303,10 +282,11 @@ def _ideal_initial_set(rep, args):
         rep.line(f"  {fmt_matching(g)}")
     rep.record("initial-set", members=[fmt_matching(g) for g in inset])
     rep.check("initial-set-computed", True, f"{len(inset)} matchings")
+    return rep
 
 
-def _ideal_move_closure(rep, args):
-    ideal, degree, bound = _load_input_ideal(rep, args)
+def _ideal_move_closure(args):
+    rep, ideal, degree, bound = _load_input_ideal(args)
     res = algebra.verify_move_closure(ideal, degree, bound)
     rep.line(f"initial set size {res.initial_size}; "
              f"moves checked {res.moves_checked}")
@@ -318,16 +298,6 @@ def _ideal_move_closure(rep, args):
                violations=[(fmt_matching(g), fmt_move(m), fmt_matching(t))
                            for g, m, t in res.violations])
     rep.check("move-closure", res.closed, f"{len(res.violations)} violations")
-
-
-def cmd_ideal(args):
-    rep = Report("ideal " + args.subtask)
-    if args.subtask == "lattice":
-        _ideal_lattice(rep, args)
-    elif args.subtask == "initial-set":
-        _ideal_initial_set(rep, args)
-    else:
-        _ideal_move_closure(rep, args)
     return rep
 
 
@@ -336,10 +306,7 @@ def cmd_ideal(args):
 
 
 def cmd_tor(args):
-    r = args.rank if args.rank is not None else 1
-    p_max = args.pmax if args.pmax is not None else 2
-    q_max = args.degree if args.degree is not None else 4
-    ns = args.nrange or (2, 3, 4)
+    r, p_max, q_max, ns = args.rank, args.pmax, args.degree, args.nrange
     rep = Report("tor", config={"flavor": args.flavor, "rank_bound": r,
                                 "pmax": p_max, "qmax": q_max,
                                 "nrange": ",".join(map(str, ns))})
@@ -377,8 +344,7 @@ def cmd_tor(args):
 
 
 def cmd_accept(args):
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    return run_all(seed=seed, budget=_budget(args))
+    return run_all(seed=args.seed, budget=args.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -399,84 +365,93 @@ def _at_least(low, parse=int):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Refuses bad input with usage and exit 4; nested parsers inherit it
+    through ``add_subparsers``."""
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT_ERROR)
 
 
+FLAGS = {
+    "flavor": dict(choices=MATRIX_FLAVORS, default="symmetric"),
+    "rank": dict(type=_at_least(1)),
+    "degree": dict(type=_at_least(0)),
+    "pmax": dict(type=_at_least(0)),
+    "nrange": dict(type=_at_least(1, parse_nrange)),
+    "budget": dict(type=_at_least(0)),
+    "seed": dict(type=int, default=DEFAULT_SEED),
+    "input": dict(required=True),
+}
+
+
 def build_parser():
     top = _Parser(prog="tca-lab", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = top.add_subparsers(dest="command", required=True)
+    commands = top.add_subparsers(dest="command", required=True)
 
-    def flags(p, *names, min_rank=1):
-        if "flavor" in names:
-            p.add_argument("--flavor", choices=MATRIX_FLAVORS, default="symmetric")
-        if "rank" in names:
-            p.add_argument("--rank", type=_at_least(min_rank))
-        if "degree" in names:
-            p.add_argument("--degree", type=_at_least(0))
-        if "pmax" in names:
-            p.add_argument("--pmax", type=_at_least(0))
-        if "nrange" in names:
-            p.add_argument("--nrange", type=_at_least(1, parse_nrange))
-        if "budget" in names:
-            p.add_argument("--budget", type=_at_least(0))
-        if "seed" in names:
-            p.add_argument("--seed", type=int)
-        if "input" in names:
-            p.add_argument("--input")
+    def group(name, text):
+        return commands.add_parser(name, help=text).add_subparsers(
+            dest="action", required=True)
+
+    def action(parent, name, func, flags, text, **defaults):
+        """A parser that defines exactly the flags ``func`` reads."""
+        p = parent.add_parser(name, help=text)
+        for flag in flags.split():
+            p.add_argument("--" + flag, **FLAGS[flag])
         p.add_argument("--output")
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    p = sub.add_parser("decompose", help="check closed-formula decompositions")
-    flags(p, "flavor", "rank", "degree")
-    p.set_defaults(func=cmd_decompose, rank=4, degree=3)
+    action(commands, "decompose", cmd_decompose, "flavor rank degree",
+           "check closed-formula decompositions", rank=4, degree=3)
 
-    p = sub.add_parser("poset", help="matching poset checks")
-    p.add_argument("subtask", choices=("verify-example", "compare",
-                                       "antichain", "sandbox"))
-    p.add_argument("extra", nargs="*")
-    flags(p, "rank", "degree", "nrange", "budget", "seed")
-    p.set_defaults(func=cmd_poset)
+    poset = group("poset", "matching poset checks")
+    action(poset, "verify-example", _poset_verify, "nrange budget",
+           "the separating family", nrange=(3, 4, 5))
+    p = action(poset, "compare", _poset_compare, "budget",
+               "compare two matchings under both orders")
+    p.add_argument("a", metavar="A")
+    p.add_argument("b", metavar="B")
+    p = action(poset, "antichain", _poset_antichain, "degree rank budget",
+               "an antichain of matchings", degree=2, rank=6)
+    p.add_argument("order", nargs="?", choices=("type1", "full"), default="full")
+    action(poset, "sandbox", _poset_sandbox, "rank degree seed",
+           "the two-color degree-one sandbox", rank=6, degree=2)
 
-    p = sub.add_parser("ideal", help="equivariant ideal checks")
-    p.add_argument("subtask", choices=("lattice", "initial-set", "move-closure"))
-    flags(p, "flavor", "rank", "degree", "input")
-    p.set_defaults(func=cmd_ideal)
+    ideal = group("ideal", "equivariant ideal checks")
+    action(ideal, "lattice", _ideal_lattice, "flavor rank degree",
+           "block containment of isotypic ideals", rank=6, degree=2)
+    for name, func in (("initial-set", _ideal_initial_set),
+                       ("move-closure", _ideal_move_closure)):
+        action(ideal, name, func, "input degree rank",
+               f"the {name} of an ideal file", degree=3)
 
-    p = sub.add_parser("tor", help="Koszul homology and stabilization")
+    p = action(commands, "tor", cmd_tor, "flavor degree pmax nrange",
+               "Koszul homology and stabilization", pmax=2, degree=4,
+               nrange=(2, 3, 4))
     # here --rank is the rank bound of the forms, and 0 is a valid bound
-    flags(p, "flavor", "rank", "degree", "pmax", "nrange", min_rank=0)
-    p.set_defaults(func=cmd_tor)
-
-    p = sub.add_parser("accept", help="run the acceptance suite")
-    flags(p, "seed", "budget")
-    p.set_defaults(func=cmd_accept)
+    p.add_argument("--rank", type=_at_least(0), default=1)
+    action(commands, "accept", cmd_accept, "seed budget",
+           "run the acceptance suite")
     return top
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code or 0
     try:
         rep = args.func(args)
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        rep.write(args.output)
     except SearchBudgetExceededError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
-    except TcaLabError as exc:
+    except (TcaLabError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    rep.write(args.output)
     return rep.exit_code()
 
 

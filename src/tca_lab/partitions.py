@@ -262,9 +262,11 @@ def decompose_into_schur(p, n) -> CharacterTable:
     expanded in the products s_lam(x) * s_mu(y).  Raises ValueError
     unless every key has the same number of blocks, each of length ``n``
     (the subtracted Schur polynomials have that shape, so any other key
-    would never cancel), NonSymmetricInputError for non-symmetric input
-    and NegativeMultiplicityError when a negative coefficient appears: the
-    input must be a genuine character, not a virtual one.
+    would never cancel) and every exponent is >= 0 (a negative one would
+    be read as part of a label the input never had), NonSymmetricInputError
+    for non-symmetric input and NegativeMultiplicityError when a negative
+    coefficient appears: the input must be a genuine character, not a
+    virtual one.
     """
     work = {k: _as_exact(v) for k, v in p.items() if v}
     shape = None
@@ -274,6 +276,8 @@ def decompose_into_schur(p, n) -> CharacterTable:
         if lengths != shape:
             raise ValueError(f"character key {key} does not have the "
                              f"block lengths {shape}")
+        if any(x < 0 for block in _key_blocks(key) for x in block):
+            raise ValueError(f"character key {key} has a negative exponent")
     _check_symmetric(work, n)
     # Schur polynomials are homogeneous: each degree expands on its own,
     # top degree first, and its leading exponent is the largest key

@@ -18,9 +18,8 @@ into characters.
 
 Across ranks there is one loop, :func:`stabilization_report`.  It runs any
 family n -> ideal (a determinantal spec via :func:`determinantal_family`,
-an isotypic or generated ideal, ...), reports from which rank each (p, q)
-cell stops changing, and whether each Tor_p keeps one label set over the
-range: the finite-rank shadow of finite length.
+an isotypic or generated ideal, ...) and reports from which rank each
+(p, q) cell stops changing.
 
 A strand enumerates only what fits its weight: a chain basis takes the
 p-subsets of variables from a depth-first search that stops as soon as a
@@ -55,6 +54,7 @@ from .algebra import (
     EquivariantIdeal,
     Span,
     VariableSystem,
+    block_vanishes,
     monomials_of_weight,
 )
 from .errors import NonSymmetricCharacterError, ParseError
@@ -78,9 +78,7 @@ class DeterminantalIdealSpec:
     @property
     def is_trivial(self):
         """True when the rank condition is vacuous (zero ideal)."""
-        if self.flavor == "antisymmetric":
-            return self.pfaffian_size > self.rank
-        return self.rank_bound >= self.rank
+        return block_vanishes(VariableSystem(self.flavor, self.rank), self.lam)
 
     @property
     def minor_size(self):
@@ -92,6 +90,14 @@ class DeterminantalIdealSpec:
         # "rank <= r" and "rank <= r-1" coincide
         r = self.rank_bound
         return r + 2 if r % 2 == 0 else r + 1
+
+    @property
+    def lam(self):
+        """The label of the block that cuts the locus out: one row of
+        ``pfaffian_size // 2`` boxes, or one column of ``minor_size``."""
+        if self.flavor == "antisymmetric":
+            return (self.pfaffian_size // 2,)
+        return (1,) * self.minor_size
 
     def describe(self):
         if self.flavor == "antisymmetric":
@@ -106,17 +112,13 @@ def determinantal_ideal(spec):
     """The equivariant ideal cutting out forms of bounded rank.
 
     It is a single isotypic ideal (de Concini-Eisenbud-Procesi): the block
-    of one column of ``minor_size`` boxes, spanned by the minors of that
-    size, or for alternating forms the block of one row of
-    ``pfaffian_size // 2`` boxes, spanned by the Pfaffians.  Trivial specs
-    are exactly those whose block vanishes at this rank: the zero ideal.
+    ``spec.lam``, spanned by the minors of size ``minor_size`` or, for
+    alternating forms, by the Pfaffians of size ``pfaffian_size``.  Trivial
+    specs are exactly those whose block vanishes at this rank: the zero
+    ideal.
     """
     system = VariableSystem(spec.flavor, spec.rank)
-    if spec.flavor == "antisymmetric":
-        lam = (spec.pfaffian_size // 2,)
-    else:
-        lam = (1,) * spec.minor_size
-    return EquivariantIdeal.isotypic(system, lam, label=spec.describe())
+    return EquivariantIdeal.isotypic(system, spec.lam, label=spec.describe())
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +131,13 @@ class KoszulComplex:
     Each call to :meth:`strand` works in the fixed-(weight, q) slice and
     returns chain dimensions, differential ranks and homology dimensions
     for p = 0..p_max; the square of the differential is asserted to vanish
-    on every basis vector, and a rank-nullity bookkeeping identity ties
-    chain and homology Euler sums together (with the boundary correction
-    for the truncation at p_max + 1).
+    on every basis vector.
     """
 
-    def __init__(self, system, ideal, p_max, q_max):
-        self.system = system
+    def __init__(self, ideal, p_max):
+        self.system = system = ideal.system
         self.ideal = ideal
         self.p_max = p_max
-        self.q_max = q_max
         self.variables = system.variables()
         # the slots of the flat weight each variable fills, one per unit
         # (at most two: a variable has two indices)
@@ -270,10 +269,6 @@ class KoszulComplex:
             h = dims[p] - ranks[p] - ranks[p + 1]
             assert h >= 0
             hdims.append(h)
-        # Euler bookkeeping over the truncated range, boundary-corrected.
-        chain_sum = sum((-1) ** p * dims[p] for p in range(P + 1))
-        hom_sum = sum((-1) ** p * hdims[p] for p in range(P + 1))
-        assert hom_sum == chain_sum - (-1) ** P * ranks[P + 1], "euler bookkeeping"
         return dims[: P + 1], ranks[: P + 2], hdims
 
     def homology_dims(self, q, w):
@@ -339,7 +334,7 @@ def tor_table(source, p_max, q_max, *, sample_check_seed=None):
         ideal = source
         meta["ideal"] = ideal.label or "(custom)"
     system = ideal.system
-    complex_ = KoszulComplex(system, ideal, p_max, q_max)
+    complex_ = KoszulComplex(ideal, p_max)
     rng = Random(sample_check_seed) if sample_check_seed is not None else None
     per_pq = {}
     for q in range(q_max + 1):
@@ -388,17 +383,10 @@ class StabilizationReport:
     n_range: tuple
     tables: dict
     first_stable: dict      # (p, q) -> first n from which entries agree, or None
-    labels_per_p: dict      # p -> {n -> sorted labels of Tor_p at rank n}
-    bounded: dict           # p -> label set of Tor_p the same at every rank
 
     @property
     def never_stabilized(self):
         return sorted(pq for pq, n in self.first_stable.items() if n is None)
-
-    @property
-    def all_bounded(self):
-        """Finite-rank shadow of finite length: every Tor_p has one label set."""
-        return all(self.bounded.values())
 
 
 def determinantal_family(flavor, rank_bound):
@@ -433,13 +421,6 @@ def stabilization_report(family, p_max, q_max, n_range):
             if all(entries[m].get(pq, {}) == here for m in n_range[i:]):
                 first_stable[pq] = n
                 break
-    labels_per_p = {p: {} for p in range(p_max + 1)}
-    for n, e in entries.items():
-        for p, per_n in labels_per_p.items():
-            per_n[n] = tuple(sorted({lam for (pp, _), tab in e.items()
-                                     if pp == p for lam in tab}))
-    bounded = {p: len(set(per_n.values())) <= 1
-               for p, per_n in labels_per_p.items()}
     return StabilizationReport(
         p_max=p_max, q_max=q_max, n_range=n_range, tables=tables,
-        first_stable=first_stable, labels_per_p=labels_per_p, bounded=bounded)
+        first_stable=first_stable)

@@ -129,6 +129,29 @@ def _nullspace(mat, ncols):
 
 
 # ---------------------------------------------------------------------------
+# Tor labels across ranks.
+
+
+def labels_per_p(tables, p_max):
+    """p -> {n -> sorted labels of Tor_p at rank n}, for p = 0..p_max, from
+    the tables of a stabilization report."""
+    out = {p: {} for p in range(p_max + 1)}
+    for n, table in tables.items():
+        cells = table.as_dict()
+        for p, per_n in out.items():
+            per_n[n] = tuple(sorted({lam for (pp, _), tab in cells.items()
+                                     if pp == p for lam in tab}))
+    return out
+
+
+def all_bounded(tables, p_max):
+    """Finite-rank shadow of finite length: every Tor_p keeps one label set
+    across the ranks of ``tables``."""
+    return all(len(set(per_n.values())) <= 1
+               for per_n in labels_per_p(tables, p_max).values())
+
+
+# ---------------------------------------------------------------------------
 # Schur polynomials and Littlewood-Richardson coefficients.
 
 

@@ -5,6 +5,7 @@ capsys; the byte-determinism checks at the bottom spawn real
 subprocesses.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -37,11 +38,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_budget(monkeypatch):
-    monkeypatch.delenv("TCA_LAB_BUDGET", raising=False)
 
 
 def test_parse_nrange():
@@ -200,7 +196,7 @@ def test_cli_poset_compare(capsys):
 
     code, _, err = run(capsys, "poset", "compare", "{(1,2)}")
     assert code == 4
-    assert err.startswith("input error: compare wants exactly two matchings")
+    assert "the following arguments are required: B" in err
 
 
 def test_cli_poset_compare_replays_a_long_growth_witness_quickly(capsys):
@@ -236,7 +232,7 @@ def test_cli_poset_antichain(capsys):
 
     code, _, err = run(capsys, "poset", "antichain", "sideways")
     assert code == 4
-    assert "antichain order must be type1 or full" in err
+    assert "invalid choice: 'sideways'" in err
 
 
 def test_cli_poset_sandbox(capsys):
@@ -288,7 +284,7 @@ def test_cli_ideal_move_closure(tmp_path, capsys):
 def test_cli_ideal_input_errors(tmp_path, capsys):
     code, _, err = run(capsys, "ideal", "initial-set")
     assert code == 4
-    assert err.startswith("input error: this check needs --input FILE")
+    assert "the following arguments are required: --input" in err
 
     code, _, err = run(capsys, "ideal", "initial-set",
                        "--input", str(tmp_path / "missing.ideal"))
@@ -366,7 +362,7 @@ def test_cli_sandbox_rejects_degree_outside_one_to_rank(capsys, argv):
     assert out == "" and "--degree" in err and "Traceback" not in err
 
 
-def test_cli_budget_and_env(capsys, monkeypatch):
+def test_cli_budget_and_env(capsys):
     code, out, _ = run(capsys, "poset", "verify-example", "--budget", "1")
     assert code == 3
     assert "check search-budget: INCONCLUSIVE" in out
@@ -376,25 +372,104 @@ def test_cli_budget_and_env(capsys, monkeypatch):
     assert code == 3
     assert "check search-budget: INCONCLUSIVE" in out
 
-    monkeypatch.setenv("TCA_LAB_BUDGET", "0")
-    code, out, _ = run(capsys, "poset", "compare", "{(1,2)}", "{(2,3)}")
-    assert code == 3
-    assert "check search-budget: INCONCLUSIVE" in out
 
-    # an explicit flag wins over the environment
-    code, out, _ = run(capsys, "poset", "compare", "{(1,2)}", "{(2,3)}",
-                       "--budget", "1000000")
-    assert code == 0
-
-    monkeypatch.setenv("TCA_LAB_BUDGET", "many")
-    code, _, err = run(capsys, "poset", "compare", "{(1,2)}", "{(2,3)}")
+# the flags an action does not read, and positionals it does not take
+@pytest.mark.parametrize("argv", [
+    ("poset", "verify-example", "--rank", "3"),
+    ("poset", "verify-example", "--degree", "9"),
+    ("poset", "verify-example", "--seed", "5"),
+    ("poset", "compare", "{(1,2)}", "{(2,3)}", "--rank", "1"),
+    ("poset", "compare", "{(1,2)}", "{(2,3)}", "--degree", "1"),
+    ("poset", "compare", "{(1,2)}", "{(2,3)}", "--nrange", "7..9"),
+    ("poset", "compare", "{(1,2)}", "{(2,3)}", "--seed", "9"),
+    ("poset", "antichain", "type1", "--nrange", "3"),
+    ("poset", "antichain", "type1", "--seed", "3"),
+    ("poset", "sandbox", "--nrange", "3..4"),
+    ("poset", "sandbox", "--budget", "1"),
+    ("ideal", "lattice", "--input", "FILE"),
+    ("ideal", "initial-set", "--input", "FILE", "--flavor", "generic"),
+    ("ideal", "move-closure", "--input", "FILE", "--flavor", "generic"),
+    ("poset", "verify-example", "foo", "bar"),
+    ("poset", "sandbox", "whatever"),
+    ("poset", "antichain", "type1", "garbage"),
+])
+def test_cli_refuses_what_an_action_does_not_read(tmp_path, capsys, argv):
+    path = tmp_path / "det2.ideal"
+    path.write_text(DET2, encoding="utf-8")
+    code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
     assert code == 4
-    assert "TCA_LAB_BUDGET must be an integer" in err
+    assert out == "" and "error: unrecognized arguments:" in err
+    assert "Traceback" not in err
 
-    monkeypatch.setenv("TCA_LAB_BUDGET", "-5")
-    code, out, err = run(capsys, "poset", "compare", "{(1,2)}", "{(2,3)}")
-    assert code == 4
-    assert out == "" and "TCA_LAB_BUDGET must be >= 0" in err
+
+class RecordingNamespace(argparse.Namespace):
+    """Notes the name of every attribute read from it in ``reads``."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("__") and name != "reads":
+            object.__getattribute__(self, "reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def action_parsers(parser, prefix=()):
+    """(argv prefix, parser) for every action below ``parser``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield prefix, parser
+    for sub in subs:
+        for name, child in sub.choices.items():
+            yield from action_parsers(child, prefix + (name,))
+
+
+# one cheap invocation per action, giving every flag it defines
+EVERY_FLAG = {
+    ("decompose",): ["--flavor", "generic", "--rank", "2", "--degree", "1"],
+    ("poset", "verify-example"): ["--nrange", "3..4", "--budget", "1"],
+    ("poset", "compare"): ["{(1,2)}", "{(2,3)}", "--budget", "50"],
+    ("poset", "antichain"): ["type1", "--degree", "1", "--rank", "3",
+                             "--budget", "50"],
+    ("poset", "sandbox"): ["--rank", "2", "--degree", "1", "--seed", "3"],
+    ("ideal", "lattice"): ["--flavor", "generic", "--rank", "2", "--degree", "1"],
+    ("ideal", "initial-set"): ["--input", "FILE", "--degree", "1", "--rank", "2"],
+    ("ideal", "move-closure"): ["--input", "FILE", "--degree", "1", "--rank", "2"],
+    ("tor",): ["--flavor", "generic", "--rank", "0", "--pmax", "1",
+               "--degree", "1", "--nrange", "2"],
+    ("accept",): ["--seed", "3", "--budget", "5"],
+}
+
+
+def test_every_flag_an_action_defines_is_read(tmp_path, capsys, monkeypatch):
+    """Each action reads every flag and positional its parser defines, so
+    none is accepted and then ignored.  ``main`` parses into a namespace
+    that records reads, cleared once parsing is done."""
+    path = tmp_path / "det2.ideal"
+    path.write_text(DET2, encoding="utf-8")
+    parsers = dict(action_parsers(cli.build_parser()))
+    assert set(parsers) == set(EVERY_FLAG)
+    monkeypatch.setattr(cli, "run_all", lambda seed, budget: Report("accept"))
+    parse_args = cli._Parser.parse_args
+    unread = {}
+    for prefix, flags in EVERY_FLAG.items():
+        namespace = RecordingNamespace()
+
+        def parse_into_namespace(self, args=None, _=None):
+            parsed = parse_args(self, args, namespace)
+            namespace.reads.clear()
+            return parsed
+
+        monkeypatch.setattr(cli._Parser, "parse_args", parse_into_namespace)
+        argv = [*prefix, *(str(path) if a == "FILE" else a for a in flags),
+                "--output", str(tmp_path / "report.txt")]
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 2, 3) and out == "", (argv, err)
+        defined = {a.dest for a in parsers[prefix]._actions if a.dest != "help"}
+        if defined - namespace.reads:
+            unread[prefix] = sorted(defined - namespace.reads)
+    assert unread == {}
 
 
 def test_cli_output_flag(tmp_path, capsys):
@@ -403,6 +478,13 @@ def test_cli_output_flag(tmp_path, capsys):
     assert code == 0 and out == ""
     text = path.read_text(encoding="utf-8")
     assert "verdict: PASS" in text
+
+
+def test_cli_output_to_a_missing_directory_exits_4(tmp_path, capsys):
+    code, out, err = run(capsys, "decompose", "--rank", "1", "--degree", "0",
+                         "--output", str(tmp_path / "missing" / "out.txt"))
+    assert code == 4
+    assert out == "" and err.startswith("input error:")
 
 
 # ---------------------------------------------------------------------------

@@ -171,11 +171,14 @@ def test_decompose_rejects_nonsymmetric():
     ({(1, 0, 0): 1, (0, 1, 0): 1}, 2, (1, 0, 0)),
     ({((1, 0), (1,)): 1, ((0, 1), (1,)): 1}, 2, ((1, 0), (1,))),
     ({(1, 0): 1, ((1, 0), (0, 1)): 1}, 2, ((1, 0), (0, 1))),
+    ({(-1, 1): 1, (1, -1): 1}, 2, (-1, 1)),
+    ({((-1, 1), (1, -1)): 1, ((1, -1), (-1, 1)): 1}, 2, ((-1, 1), (1, -1))),
 ])
 def test_decompose_rejects_keys_of_the_wrong_shape(char, n, bad):
     """Every key must be the same number of blocks of n labels: the Schur
     polynomials subtracted have that shape, so another key would never
-    cancel.  The check runs before the expansion loop."""
+    cancel.  No exponent may be negative, or it would be read as a part of
+    a label.  Both checks run before the symmetry check."""
     with pytest.raises(ValueError, match=re.escape(f"character key {bad} ")):
         decompose_into_schur(char, n)
 

@@ -1,7 +1,5 @@
 """Koszul strands, determinantal ideals, and cross-rank stabilization."""
 
-import inspect
-import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -21,7 +19,8 @@ from tca_lab.torlab import (
     tor_table,
     _dominant_weights,
 )
-from oracles import ideal_component, ideal_contains, monomials_of_degree
+from oracles import (all_bounded, ideal_component, ideal_contains,
+                     labels_per_p, monomials_of_degree)
 from test_algebra import oracle_weight_subtract
 
 
@@ -177,7 +176,7 @@ def test_full_variable_quotient_matches_exterior_powers():
 def test_differential_squares_to_zero():
     system = VariableSystem("symmetric", 2)
     ideal = determinantal_ideal(DeterminantalIdealSpec("symmetric", 2, 1))
-    komplex = KoszulComplex(system, ideal, 3, 4)
+    komplex = KoszulComplex(ideal, 3)
     checked = 0
     for q in range(4):
         for w in _dominant_weights(system, q):
@@ -191,8 +190,7 @@ def test_differential_squares_to_zero():
 def test_strand_guards_fire_on_a_differential_that_does_not_square_to_zero(
         monkeypatch):
     """The d∘d check now combines the cached images of K_{p-1}; fed a
-    differential with every sign +1, it must still refuse the strand.  The
-    Euler bookkeeping assertion runs on every strand."""
+    differential with every sign +1, it must still refuse the strand."""
     def unsigned_diff(self, vec):
         out = {}
         for (T, m), c in vec.items():
@@ -202,33 +200,13 @@ def test_strand_guards_fire_on_a_differential_that_does_not_square_to_zero(
                     out[key] = out.get(key, 0) + c * c2
         return {k: c for k, c in out.items() if c}
 
-    system = VariableSystem("symmetric", 2)
     ideal = determinantal_ideal(DeterminantalIdealSpec("symmetric", 2, 1))
     w = (3, 1)      # K_2 is x11 ∧ x12, and x11*x12 is not in the ideal
-    assert KoszulComplex(system, ideal, 3, 4).chain_basis(2, 2, w)
-
-    code = KoszulComplex.strand.__code__
-    executed = set()
-
-    def trace(frame, event, arg):
-        if frame.f_code is not code:
-            return None
-        if event == "line":
-            executed.add(frame.f_lineno)
-        return trace
-
-    sys.settrace(trace)
-    try:
-        KoszulComplex(system, ideal, 3, 4).strand(2, w)
-    finally:
-        sys.settrace(None)
-    lines, first = inspect.getsourcelines(KoszulComplex.strand)
-    euler = {first + k for k, line in enumerate(lines) if "euler bookkeeping" in line}
-    assert euler and euler <= executed
+    assert KoszulComplex(ideal, 3).chain_basis(2, 2, w)
 
     monkeypatch.setattr(KoszulComplex, "apply_diff", unsigned_diff)
     with pytest.raises(AssertionError, match="does not square to zero"):
-        KoszulComplex(system, ideal, 3, 4).strand(2, w)
+        KoszulComplex(ideal, 3).strand(2, w)
 
 
 # -- the cached hot loop against the paths it replaced --------------------
@@ -243,7 +221,7 @@ def universe(flavor, top):
     for n in range(1, top + 1):
         for r in range(n + 1):
             ideal = determinantal_ideal(DeterminantalIdealSpec(flavor, n, r))
-            yield KoszulComplex(ideal.system, ideal, P_MAX, Q_MAX)
+            yield KoszulComplex(ideal, P_MAX)
 
 
 def occurring_weights(system, q):
@@ -414,17 +392,18 @@ def test_ft_label_boundedness():
     report = stabilization_report(
         lambda n: determinantal_ideal(DeterminantalIdealSpec("symmetric", n, 1)),
         1, 2, (2, 3))
-    assert report.labels_per_p == {0: {2: ((),), 3: ((),)},
-                                   1: {2: ((2, 2),), 3: ((2, 2),)}}
-    assert report.all_bounded
+    assert labels_per_p(report.tables, report.p_max) == {
+        0: {2: ((),), 3: ((),)}, 1: {2: ((2, 2),), 3: ((2, 2),)}}
+    assert all_bounded(report.tables, report.p_max)
 
     zero = stabilization_report(
         lambda n: EquivariantIdeal.from_generators(
             VariableSystem("symmetric", n), [], label="zero"),
         2, 2, (2, 3))
-    assert zero.labels_per_p[0] == {2: ((),), 3: ((),)}
-    assert zero.labels_per_p[1] == {2: (), 3: ()}
-    assert zero.all_bounded
+    labels = labels_per_p(zero.tables, zero.p_max)
+    assert labels[0] == {2: ((),), 3: ((),)}
+    assert labels[1] == {2: (), 3: ()}
+    assert all_bounded(zero.tables, zero.p_max)
 
 
 def _label(weight):
