@@ -6,8 +6,8 @@ classical product formulas (even rows, even columns, paired shapes).
 The tables agree and every block appears exactly once.
 """
 
-from tca_lab.partitions import (algebra_closed_formula, decompose_algebra,
-                                fmt_partition, hook_content_dim)
+from tca_lab.algebra import algebra_closed_formula, decompose_algebra
+from tca_lab.partitions import fmt_partition, hook_content_dim
 
 RANK = 4
 DEGREE = 4

@@ -7,13 +7,14 @@ Four variable systems share one implementation:
 * ``generic``        independent x[i,j] with separate row and column actions,
 * ``degree_one``     two families x[i], y[i] ("red"/"blue") moved in lockstep.
 
-A weight is one tuple of label counts per block of labels, and each block
-is permuted by its own symmetric group: GL_n acts on one block for the
-symmetric, antisymmetric and degree_one systems, GL_n x GL_n on a (rows,
-cols) pair of blocks for the generic one.  :class:`VariableSystem` owns
-this layout (``unit``, ``blocks``, ``join``, ``flatten``, ``unflatten``),
-so weight splits, dominant slices and their relabelling run one path for
-every flavor.
+A flavor is its entry in :data:`LAYOUTS`, the label block of each index
+of a variable, plus the sign rule ``canonical``.  A weight is one tuple of
+label counts per block of labels, each permuted by its own symmetric
+group: GL_n acts on one block for the symmetric, antisymmetric and
+degree_one systems, GL_n x GL_n on a (rows, cols) pair for the generic
+one.  :class:`VariableSystem` reads the entry, so variables, weights, the
+derivation action, weight splits, dominant slices and degree pieces run
+one path for every flavor.
 
 A polynomial is a dict mapping monomials to exact coefficients, where a
 monomial is a sorted tuple of stored variables.  Coefficients are ``int``
@@ -49,12 +50,16 @@ of degree d is supported on colored sets of d elements, ordered by
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, product
+from functools import cached_property
+from itertools import (accumulate, combinations, combinations_with_replacement,
+                       product)
 from math import gcd, lcm
 
-from .partitions import MATRIX_FLAVORS, flavor_variables, poly_add
+from .partitions import (CharacterTable, decompose_into_schur, partitions_of,
+                         poly_add, transpose)
 from .matchings import (
     colored_key,
     colored_set,
@@ -65,7 +70,17 @@ from .matchings import (
     type2_moves,
 )
 
-FLAVORS = MATRIX_FLAVORS + ("degree_one",)
+# flavor -> the label block of each index of a variable, position by
+# position; None marks a color (0 or 1), which GL_n does not move.  The
+# stored variables are the index tuples that ``canonical`` keeps.
+LAYOUTS = {
+    "symmetric": (0, 0),
+    "antisymmetric": (0, 0),
+    "generic": (0, 1),
+    "degree_one": (None, 0),
+}
+FLAVORS = tuple(LAYOUTS)
+MATRIX_FLAVORS = ("symmetric", "antisymmetric", "generic")
 MATCHING_FLAVORS = ("symmetric", "antisymmetric")
 INITIAL_DATA_FLAVORS = MATCHING_FLAVORS + ("degree_one",)
 
@@ -84,9 +99,34 @@ class VariableSystem:
             raise ValueError("rank must be positive")
 
     def variables(self):
-        if self.flavor == "degree_one":
-            return [(c, i) for c in (0, 1) for i in range(1, self.rank + 1)]
-        return flavor_variables(self.flavor, self.rank)
+        """The stored variables, ascending."""
+        return list(self._variables)
+
+    @cached_property
+    def _variables(self):
+        """Each index tuple in the form :meth:`canonical` stores it, unless
+        it kills it."""
+        ranges = [(0, 1) if block is None else range(1, self.rank + 1)
+                  for block in LAYOUTS[self.flavor]]
+        stored = (self.canonical(*idx) for idx in product(*ranges))
+        return tuple(sorted({v for v, sign in stored if sign}))
+
+    @cached_property
+    def _paired(self):
+        """Whether a weight is a (rows, cols) pair of label blocks."""
+        return 1 in LAYOUTS[self.flavor]
+
+    @cached_property
+    def _offsets(self):
+        """(position, offset) of every label index: ``v[position]`` fills
+        flat weight slot ``offset + v[position]``."""
+        return tuple((pos, block * self.rank - 1)
+                     for pos, block in enumerate(LAYOUTS[self.flavor])
+                     if block is not None)
+
+    def slots(self, v):
+        """The flat weight slots a variable fills, one per label index."""
+        return tuple(offset + v[pos] for pos, offset in self._offsets)
 
     def canonical(self, i, j):
         """Store an index pair, returning (variable, sign); sign 0 kills it."""
@@ -100,50 +140,63 @@ class VariableSystem:
 
     def weight(self, mono):
         """Weight of a monomial: a tuple, or a (row, col) pair of tuples."""
-        n = self.rank
-        if self.flavor == "generic":
-            row = [0] * n
-            col = [0] * n
-            for i, j in mono:
-                row[i - 1] += 1
-                col[j - 1] += 1
-            return (tuple(row), tuple(col))
-        w = [0] * n
-        if self.flavor == "degree_one":
-            for _, i in mono:
-                w[i - 1] += 1
-        else:
-            for i, j in mono:
-                w[i - 1] += 1
-                w[j - 1] += 1
-        return tuple(w)
+        flat = [0] * (self.rank * len(self.sides()))
+        for pos, offset in self._offsets:
+            for v in mono:
+                flat[offset + v[pos]] += 1
+        return self.unflatten(tuple(flat))
 
     def sides(self):
         """The derivation side of each label block."""
-        return ("row", "col") if self.flavor == "generic" else (None,)
+        return ("row", "col") if self._paired else (None,)
 
-    @property
+    @cached_property
     def unit(self):
         """The weight one variable puts on its block."""
-        return 2 if self.flavor in MATCHING_FLAVORS else 1
+        return len(self._offsets) // len(self.sides())
 
     def blocks(self, w):
         """A weight as its label blocks: ``(rows, cols)`` or ``(w,)``."""
-        return w if self.flavor == "generic" else (w,)
+        return w if self._paired else (w,)
 
     def join(self, blocks):
         """The weight with these label blocks; inverse of :meth:`blocks`."""
-        return tuple(blocks) if self.flavor == "generic" else blocks[0]
+        return tuple(blocks) if self._paired else blocks[0]
 
     def flatten(self, w):
         """All label counts of a weight in one tuple, block after block."""
-        return w[0] + w[1] if self.flavor == "generic" else w
+        return w[0] + w[1] if self._paired else w
 
     def unflatten(self, flat):
         """The weight of a flat tuple of label counts; inverse of
         :meth:`flatten`."""
         n = self.rank
-        return (flat[:n], flat[n:]) if self.flavor == "generic" else flat
+        return (flat[:n], flat[n:]) if self._paired else flat
+
+    @cached_property
+    def _actions(self):
+        return {}
+
+    def action(self, a, b, side):
+        """act(a, b) on single variables, built on first use and kept:
+        ``{v: ((image, sign), ...)}`` over the stored variables, one image
+        per position of ``side``'s label block where ``v`` has index ``b``;
+        images that :meth:`canonical` kills are left out."""
+        sides = self.sides()
+        if side not in sides:
+            raise ValueError("generic system needs side='row' or side='col'"
+                             if self._paired else
+                             "side is only meaningful for the generic system")
+        block = sides.index(side)
+        positions = [pos for pos, blk in enumerate(LAYOUTS[self.flavor])
+                     if blk == block]
+        table = self._actions[(a, b, side)] = {}
+        for v in self._variables:
+            images = [self.canonical(*v[:pos], a, *v[pos + 1:])
+                      for pos in positions if v[pos] == b]
+            if images:
+                table[v] = tuple(image for image in images if image[1])
+        return table
 
 
 # ---------------------------------------------------------------------------
@@ -182,31 +235,13 @@ def weight_split(system, p):
 def lie_act(system, a, b, p, side=None):
     """Derivation act(a,b) applied to ``p``; ``side`` picks the row or column
     action of the generic system and must be None otherwise."""
-    if system.flavor == "generic":
-        if side not in ("row", "col"):
-            raise ValueError("generic system needs side='row' or side='col'")
-    elif side is not None:
-        raise ValueError("side is only meaningful for the generic system")
+    table = system._actions.get((a, b, side))
+    if table is None:
+        table = system.action(a, b, side)
     out = {}
     for mono, coeff in p.items():
         for t, v in enumerate(mono):
-            repls = []
-            if system.flavor == "degree_one":
-                if v[1] == b:
-                    repls.append(((v[0], a), 1))
-            elif system.flavor == "generic":
-                if side == "row" and v[0] == b:
-                    repls.append(((a, v[1]), 1))
-                elif side == "col" and v[1] == b:
-                    repls.append(((v[0], a), 1))
-            else:
-                if v[0] == b:
-                    repls.append(system.canonical(a, v[1]))
-                if v[1] == b:
-                    repls.append(system.canonical(v[0], a))
-            for nv, sign in repls:
-                if sign == 0:
-                    continue
+            for nv, sign in table.get(v, ()):
                 nm = tuple(sorted(mono[:t] + (nv,) + mono[t + 1:]))
                 c = out.get(nm, 0) + sign * coeff
                 if c:
@@ -434,6 +469,36 @@ def _fill_rows(rows, cols, upper, diagonal):
 
     row(0)
     return out
+
+
+def decompose_algebra(flavor, d, n) -> CharacterTable:
+    """Schur expansion of the degree-``d`` component, computed by brute
+    monomial weight counting (independent of the closed product formula)."""
+    system = VariableSystem(flavor, n)
+    monos = combinations_with_replacement(system.variables(), d)
+    return decompose_into_schur(Counter(map(system.weight, monos)), n)
+
+
+def algebra_closed_formula(flavor, d, n) -> CharacterTable:
+    """The predicted multiplicity-free table for the degree-``d`` component:
+    doubled rows, doubled columns, or diagonal pairs, indexed by partitions
+    of ``d`` and truncated to shapes with at most ``n`` rows."""
+    if flavor not in MATRIX_FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    entries = {}
+    for lam in partitions_of(d):
+        if flavor == "symmetric":
+            key = tuple(2 * x for x in lam)
+            rows = len(key)
+        elif flavor == "antisymmetric":
+            key = transpose(tuple(2 * x for x in lam))
+            rows = len(key)
+        else:
+            key = (lam, lam)
+            rows = len(lam)
+        if rows <= n:
+            entries[key] = 1
+    return CharacterTable(entries, n)
 
 
 def weight_splits(system, w, d):
@@ -815,12 +880,9 @@ def initial_set(ideal, degree_bound, support_bound):
 @dataclass
 class MoveClosureReport:
     label: str
-    degree_bound: int
-    support_bound: int
     initial_size: int
     moves_checked: int
     violations: list
-    flavor: str = ""
 
     @property
     def closed(self):
@@ -843,10 +905,7 @@ def verify_move_closure(ideal, degree_bound, support_bound):
                 violations.append((g, mv, img))
     return MoveClosureReport(
         label=ideal.label,
-        degree_bound=degree_bound,
-        support_bound=support_bound,
         initial_size=len(inset),
         moves_checked=moves_checked,
         violations=violations,
-        flavor=ideal.system.flavor,
     )

@@ -29,12 +29,12 @@ import sys
 from . import algebra, matchings, torlab
 from .acceptance import SANDBOX_IDEALS, run_all, sandbox_ideals
 from .algebra import (INITIAL_DATA_FLAVORS, MATRIX_FLAVORS, EquivariantIdeal,
-                      VariableSystem, block_vanishes, ideal_contains_isotypic)
+                      VariableSystem, algebra_closed_formula, block_vanishes,
+                      decompose_algebra, ideal_contains_isotypic)
 from .errors import ParseError, SearchBudgetExceededError, TcaLabError
 from .ideal_io import format_poly, load_ideal_file, parse_matching
 from .matchings import fmt_colored_set, fmt_matching, fmt_move
-from .partitions import (algebra_closed_formula, contains, decompose_algebra,
-                         fmt_partition, partitions_upto)
+from .partitions import contains, fmt_partition, partitions_upto
 from .reports import EXIT_INPUT_ERROR, INCONCLUSIVE, Report
 
 DEFAULT_SEED = 1729

@@ -23,7 +23,7 @@ from .errors import ParseError
 
 _TOKEN = re.compile(
     r"""(?P<ws>\s+)
-      | (?P<number>\d+(?:\s*/\s*\d+)?)
+      | (?P<number>(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?)
       | (?P<var>x\[\s*(?P<vi>\d+)\s*,\s*(?P<vj>\d+)\s*\])
       | (?P<op>[-+*])
       | (?P<bad>.)
@@ -41,7 +41,10 @@ def _tokenize(text, lineno):
         if m.lastgroup == "bad":
             raise ParseError(f"unexpected character {m.group()!r}", lineno, col)
         if m.lastgroup == "number":
-            out.append(("number", Fraction(m.group().replace(" ", "")), col))
+            den = int(m.group("den") or 1)
+            if not den:
+                raise ParseError(f"zero denominator in {m.group()!r}", lineno, col)
+            out.append(("number", Fraction(int(m.group("num")), den), col))
         elif m.lastgroup == "op":
             out.append((m.group(), m.group(), col))
         else:

@@ -14,6 +14,9 @@ then the products s_lam(x) * s_mu(y).
 Expansion into the Schur basis repeatedly subtracts the Schur polynomial of
 the lexicographically leading exponent of top degree; Schur polynomials are
 unitriangular against monomials (Kostka matrix), so the loop terminates.
+
+Nothing here knows a flavor: the degree pieces of the algebras and their
+closed formulas live in :mod:`tca_lab.algebra`.
 """
 
 from __future__ import annotations
@@ -21,12 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import permutations, product
 from math import prod
 
 from .errors import NegativeMultiplicityError, NonSymmetricInputError
-
-MATRIX_FLAVORS = ("symmetric", "antisymmetric", "generic")
 
 
 def partition(parts) -> tuple:
@@ -74,11 +75,11 @@ def partitions_of(size, max_rows=None, max_part=None):
     yield from gen(size, max_part, max_rows)
 
 
-def partitions_upto(size, max_rows=None):
+def partitions_upto(size):
     """All partitions of every size ``0..size``, small sizes first."""
     out = []
     for d in range(size + 1):
-        out.extend(partitions_of(d, max_rows=max_rows))
+        out.extend(partitions_of(d))
     return out
 
 
@@ -306,63 +307,6 @@ def decompose_pair_into_schur(p, n) -> CharacterTable:
     """:func:`decompose_into_schur` of a character with (row exponent, col
     exponent) keys, named for the callers that only have pairs."""
     return decompose_into_schur(p, n)
-
-
-# ---------------------------------------------------------------------------
-# Degree components of the three algebras.
-
-
-def flavor_variables(flavor, n):
-    """Stored variables x[i,j] of a matrix flavor at rank ``n``."""
-    if flavor == "symmetric":
-        return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    if flavor == "antisymmetric":
-        return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    if flavor == "generic":
-        return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    raise ValueError(f"unknown flavor {flavor!r}")
-
-
-def decompose_algebra(flavor, d, n) -> CharacterTable:
-    """Schur expansion of the degree-``d`` component, computed by brute
-    monomial weight counting (independent of the closed product formula)."""
-    if flavor not in MATRIX_FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    pair = flavor == "generic"     # rows and columns are separate blocks
-    char = {}
-    for combo in combinations_with_replacement(flavor_variables(flavor, n), d):
-        row = [0] * n
-        col = [0] * n if pair else row
-        for (i, j) in combo:
-            row[i - 1] += 1
-            col[j - 1] += 1
-        key = (tuple(row), tuple(col)) if pair else tuple(row)
-        char[key] = char.get(key, 0) + 1
-    return decompose_into_schur(char, n)
-
-
-def algebra_closed_formula(flavor, d, n) -> CharacterTable:
-    """The predicted multiplicity-free table for the degree-``d`` component:
-    doubled rows, doubled columns, or diagonal pairs, indexed by partitions
-    of ``d`` and truncated to shapes with at most ``n`` rows."""
-    if flavor not in MATRIX_FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    entries = {}
-    for lam in partitions_of(d):
-        if flavor == "symmetric":
-            key = tuple(2 * x for x in lam)
-            rows = len(key)
-        elif flavor == "antisymmetric":
-            key = transpose(tuple(2 * x for x in lam))
-            rows = len(key)
-        else:
-            key = (lam, lam)
-            rows = len(lam)
-        if rows <= n:
-            entries[key] = 1
-    return CharacterTable(entries, n)
 
 
 def fmt_partition(lam) -> str:

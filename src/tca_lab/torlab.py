@@ -139,12 +139,8 @@ class KoszulComplex:
         self.ideal = ideal
         self.p_max = p_max
         self.variables = system.variables()
-        # the slots of the flat weight each variable fills, one per unit
-        # (at most two: a variable has two indices)
-        self._slots = [
-            tuple(t for t, k in enumerate(system.flatten(system.weight((v,))))
-                  for _ in range(k))
-            for v in self.variables]
+        # one slot per label index of a variable, so at most two
+        self._slots = [system.slots(v) for v in self.variables]
         self._quotient_cache = {}
         self._normal_forms = {}      # monomial -> normal form modulo I
 
@@ -379,8 +375,6 @@ def _sample_symmetry_check(complex_, q, dominant, rng):
 @dataclass
 class StabilizationReport:
     p_max: int
-    q_max: int
-    n_range: tuple
     tables: dict
     first_stable: dict      # (p, q) -> first n from which entries agree, or None
 
@@ -421,6 +415,5 @@ def stabilization_report(family, p_max, q_max, n_range):
             if all(entries[m].get(pq, {}) == here for m in n_range[i:]):
                 first_stable[pq] = n
                 break
-    return StabilizationReport(
-        p_max=p_max, q_max=q_max, n_range=n_range, tables=tables,
-        first_stable=first_stable)
+    return StabilizationReport(p_max=p_max, tables=tables,
+                               first_stable=first_stable)

@@ -20,6 +20,80 @@ class ZeroVectorError(TcaLabError):
 
 
 # ---------------------------------------------------------------------------
+# The variable layout written out flavor by flavor.
+
+
+def branchy_variables(system):
+    """Stored variables, in the order of ``VariableSystem.variables()``."""
+    n = system.rank
+    if system.flavor == "degree_one":
+        return [(c, i) for c in (0, 1) for i in range(1, n + 1)]
+    if system.flavor == "symmetric":
+        return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    if system.flavor == "antisymmetric":
+        return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+
+
+def branchy_weight(system, mono):
+    """Weight of a monomial: a tuple, or a (row, col) pair of tuples."""
+    n = system.rank
+    if system.flavor == "generic":
+        row = [0] * n
+        col = [0] * n
+        for i, j in mono:
+            row[i - 1] += 1
+            col[j - 1] += 1
+        return (tuple(row), tuple(col))
+    w = [0] * n
+    if system.flavor == "degree_one":
+        for _, i in mono:
+            w[i - 1] += 1
+    else:
+        for i, j in mono:
+            w[i - 1] += 1
+            w[j - 1] += 1
+    return tuple(w)
+
+
+def branchy_lie_act(system, a, b, p, side=None):
+    """Derivation act(a,b) applied to ``p``; ``side`` picks the row or column
+    action of the generic system and must be None otherwise."""
+    if system.flavor == "generic":
+        if side not in ("row", "col"):
+            raise ValueError("generic system needs side='row' or side='col'")
+    elif side is not None:
+        raise ValueError("side is only meaningful for the generic system")
+    out = {}
+    for mono, coeff in p.items():
+        for t, v in enumerate(mono):
+            repls = []
+            if system.flavor == "degree_one":
+                if v[1] == b:
+                    repls.append(((v[0], a), 1))
+            elif system.flavor == "generic":
+                if side == "row" and v[0] == b:
+                    repls.append(((a, v[1]), 1))
+                elif side == "col" and v[1] == b:
+                    repls.append(((v[0], a), 1))
+            else:
+                if v[0] == b:
+                    repls.append(system.canonical(a, v[1]))
+                if v[1] == b:
+                    repls.append(system.canonical(v[0], a))
+            for nv, sign in repls:
+                if sign == 0:
+                    continue
+                nm = tuple(sorted(mono[:t] + (nv,) + mono[t + 1:]))
+                c = out.get(nm, 0) + sign * coeff
+                if c:
+                    out[nm] = c
+                else:
+                    del out[nm]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Monomials, highest weight vectors and whole ideal degrees.
 
 

@@ -19,6 +19,7 @@ from tca_lab.algebra import (
     VariableSystem,
     all_ops,
     block_vanishes,
+    decompose_algebra,
     highest_weight_vector,
     ideal_admissible_component,
     ideal_contains_isotypic,
@@ -35,9 +36,10 @@ from tca_lab.algebra import (
     weight_splits,
 )
 from tca_lab.matchings import fmt_matching, leq_full, matching
-from tca_lab.partitions import contains, decompose_algebra, partitions_upto
+from tca_lab.partitions import contains, partitions_upto
 
-from oracles import (ZeroVectorError, hw_weight, ideal_component, ideal_contains,
+from oracles import (ZeroVectorError, branchy_lie_act, branchy_variables,
+                     branchy_weight, hw_weight, ideal_component, ideal_contains,
                      initial_matching, monomials_of_degree, raising_kernel)
 
 SYM2 = VariableSystem("symmetric", 2)
@@ -97,6 +99,43 @@ def test_derivation_action_sides():
         lie_act(gen, 1, 2, x22)
     with pytest.raises(ValueError):
         lie_act(SYM2, 1, 2, x22, side="row")
+
+
+@pytest.mark.parametrize("flavor,top", [
+    ("symmetric", 4), ("antisymmetric", 5), ("generic", 3), ("degree_one", 4)])
+def test_layout_entry_matches_branchy_oracle(flavor, top):
+    """Variables, weights, slots and the derivation action read from the
+    flavor's layout entry equal the flavor-by-flavor code: every op (the diagonal
+    ones included) on every monomial of degree <= 2, and on each degree's
+    sum of monomials, at every rank up to ``top``; dict order included."""
+    for n in range(1, top + 1):
+        system = VariableSystem(flavor, n)
+        assert system.variables() == branchy_variables(system)
+        for v in system.variables():
+            flat = system.flatten(branchy_weight(system, (v,)))
+            assert system.slots(v) == tuple(
+                t for t, k in enumerate(flat) for _ in range(k))
+        polys = []
+        for d in range(3):
+            monos = monomials_of_degree(system, d)
+            for m in monos:
+                assert system.weight(m) == branchy_weight(system, m)
+            polys += [{m: 1} for m in monos]
+            polys.append({m: (-1) ** k * (k + 1) for k, m in enumerate(monos)})
+        ops = [(a, b, side) for side in system.sides()
+               for a in range(1, n + 1) for b in range(1, n + 1)]
+        for a, b, side in ops:
+            for p in polys:
+                got = lie_act(system, a, b, p, side)
+                want = branchy_lie_act(system, a, b, p, side)
+                assert list(got.items()) == list(want.items()), (n, a, b, side, p)
+        for wrong in {None, "row", "col", "diag"} - set(system.sides()):
+            messages = []
+            for act in (lie_act, branchy_lie_act):
+                with pytest.raises(ValueError) as exc:
+                    act(system, 1, 2, {((1, 2),): 1}, wrong)
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1]
 
 
 def test_rep_closure_dimensions():

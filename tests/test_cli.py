@@ -69,6 +69,11 @@ def test_ideal_grammar_round_trip():
     assert format_poly({}) == "0"
 
 
+def test_fraction_coefficient_with_any_whitespace_around_the_slash():
+    _, gens = parse_ideal_text("flavor: symmetric\nrank: 2\n3\t/ 2 * x[1,2]")
+    assert gens == [{((1, 2),): Fraction(3, 2)}]
+
+
 def test_ideal_grammar_errors():
     cases = [
         ("flavor: symmetric\nrank: 2\nx[1,1] &",
@@ -84,6 +89,8 @@ def test_ideal_grammar_errors():
         ("flavor: symmetric\nrank: 2\nx[1,1]\nrank: 3",
          "rank must precede the generators at line 4, column 1"),
         ("# nothing here\n", "input never declared flavor and rank at line 1, column 1"),
+        ("flavor: symmetric\nrank: 2\nx[1,1] + 1/0 * x[1,2]",
+         "zero denominator in '1/0' at line 3, column 10"),
     ]
     for text, message in cases:
         with pytest.raises(ParseError) as exc:
@@ -296,6 +303,12 @@ def test_cli_ideal_input_errors(tmp_path, capsys):
     code, _, err = run(capsys, "ideal", "move-closure", "--input", str(bad))
     assert code == 4
     assert "unexpected character '&' at line 3, column 8" in err
+
+    zero = tmp_path / "zero.ideal"
+    zero.write_text("flavor: symmetric\nrank: 4\n1/0 * x[1,1]\n", encoding="utf-8")
+    code, out, err = run(capsys, "ideal", "initial-set", "--input", str(zero))
+    assert code == 4 and out == ""
+    assert err == "input error: zero denominator in '1/0' at line 3, column 1\n"
 
 
 @pytest.mark.parametrize("subtask", ["initial-set", "move-closure"])

@@ -6,12 +6,11 @@ import re
 
 import pytest
 
+from tca_lab.algebra import algebra_closed_formula, decompose_algebra
 from tca_lab.errors import NegativeMultiplicityError, NonSymmetricInputError
 from tca_lab.partitions import (
     CharacterTable,
-    algebra_closed_formula,
     contains,
-    decompose_algebra,
     decompose_into_schur,
     decompose_pair_into_schur,
     fmt_partition,
