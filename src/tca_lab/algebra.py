@@ -13,8 +13,8 @@ label counts per block of labels, each permuted by its own symmetric
 group: GL_n acts on one block for the symmetric, antisymmetric and
 degree_one systems, GL_n x GL_n on a (rows, cols) pair for the generic
 one.  :class:`VariableSystem` reads the entry, so variables, weights, the
-derivation action, weight splits, dominant slices and degree pieces run
-one path for every flavor.
+monomials of a weight, the derivation action, weight splits, dominant
+slices and degree pieces run one path for every flavor.
 
 A polynomial is a dict mapping monomials to exact coefficients, where a
 monomial is a sorted tuple of stored variables.  Coefficients are ``int``
@@ -127,6 +127,26 @@ class VariableSystem:
     def slots(self, v):
         """The flat weight slots a variable fills, one per label index."""
         return tuple(offset + v[pos] for pos, offset in self._offsets)
+
+    @cached_property
+    def capacity_table(self):
+        """``(v, slots, r0, r1)`` per stored variable, ascending: the later
+        variables on ``v``'s first slot take from it at most the capacity
+        of the flat slots ``r0 .. r1 - 1`` (of that slot itself when one of
+        them fills it alone)."""
+        variables = self._variables
+        filled = [self.slots(v) for v in variables]
+        table = []
+        for idx, (v, slots) in enumerate(zip(variables, filled)):
+            others = sorted({s[-1] for s in filled[idx + 1:] if s[0] == slots[0]})
+            if slots[0] in others:
+                others = [slots[0]]
+            r0 = others[0] if others else 0
+            if others != list(range(r0, r0 + len(others))):
+                raise ValueError(f"{self.flavor}: the variables after {v} "
+                                 f"on slot {slots[0]} fill no range of slots")
+            table.append((v, slots, r0, r0 + len(others)))
+        return tuple(table)
 
     def canonical(self, i, j):
         """Store an index pair, returning (variable, sign); sign 0 kills it."""
@@ -397,77 +417,57 @@ def monomials_of_weight(system, d, w):
     order of ``system.variables()``.  Seeded callers draw from this list
     with ``rng.sample``, so the order is part of the contract.
 
-    The exponent matrix is filled one label (row) at a time, every count
-    ascending, so the list comes out in that order without sorting.  A
-    symmetric row takes its diagonal first; what is left of the row is
-    spread over the later labels, each bounded by its remaining capacity
-    and from below by what the labels after it can still absorb, so no
-    branch dies inside a row.  Generic rows fill against column
-    capacities the same way.  The degree_one system splits each ``w_i``
-    into its two colors.
+    One depth-first search over the stored variables fills the flat view
+    of ``w``, every count ascending, so the list comes out in that order
+    without sorting.  A count is bounded above by what its slots have left
+    (a variable that fills one slot twice, a symmetric diagonal, gets
+    half) and below by what the later variables on its first slot cannot
+    absorb (:attr:`VariableSystem.capacity_table`).  A weight whose blocks
+    are not of length ``rank`` raises ValueError.
     """
     total = system.unit * d
     for block in system.blocks(w):
-        if sum(block) != total or min(block, default=0) < 0:
+        if len(block) != system.rank:
+            raise ValueError(f"weight {w!r} has a block of length "
+                             f"{len(block)}, not the rank {system.rank}")
+        if sum(block) != total or min(block) < 0:
             return []
-    flavor = system.flavor
-    if flavor == "generic":
-        return _fill_rows(list(w[0]), list(w[1]), upper=False, diagonal=False)
-    cap = list(w)
-    if flavor == "degree_one":
-        out = []
-        for red in product(*(range(k + 1) for k in cap)):
-            mono = [(0, i) for i, k in enumerate(red, 1) for _ in range(k)]
-            mono += [(1, i) for i, (k, r) in enumerate(zip(cap, red), 1)
-                     for _ in range(k - r)]
-            out.append(tuple(mono))
-        return out
-    return _fill_rows(cap, cap, upper=True, diagonal=flavor == "symmetric")
-
-
-def _fill_rows(rows, cols, upper, diagonal):
-    """Exponent matrices with row sums ``rows`` and column sums ``cols``,
-    as sorted monomials, counts ascending variable by variable.
-
-    ``upper`` keeps entries above the diagonal (``rows is cols``: a label's
-    capacity counts both of its indices); ``diagonal`` adds the diagonal,
-    where one entry uses two units of its label.
-    """
-    n = len(rows)
+    cap = list(system.flatten(w))
+    table = system.capacity_table
+    end = len(table)
     out = []
     mono = []
 
-    def row(i):
-        if i == n:
-            out.append(tuple(mono))
+    def fill(idx):
+        if idx == end:
+            if len(mono) == d:
+                out.append(tuple(mono))
             return
-        first = i + 1 if upper else 0
-        left = rows[i]
-        if not diagonal:
-            if upper and 2 * max(rows[i:]) > sum(rows[i:]):
-                return          # some label outweighs all the others
-            spread(i, first, left)
+        v, slots, r0, r1 = table[idx]
+        a = slots[0]
+        b = slots[-1]
+        left = cap[a]
+        room = sum(cap[r0:r1])
+        if a == b:
+            m = len(slots)
+            for k in range(max(0, left - room + m - 1) // m, left // m + 1):
+                cap[a] = left - m * k
+                mono.extend([v] * k)
+                fill(idx + 1)
+                del mono[len(mono) - k:]
+            cap[a] = left
             return
-        tail = sum(cols[first:])
-        for k in range(max(0, left - tail + 1) // 2, left // 2 + 1):
-            mono.extend([(i + 1, i + 1)] * k)
-            spread(i, first, left - 2 * k)
+        top = cap[b]
+        for k in range(max(0, left - room), min(left, top) + 1):
+            cap[a] = left - k
+            cap[b] = top - k
+            mono.extend([v] * k)
+            fill(idx + 1)
             del mono[len(mono) - k:]
+        cap[a] = left
+        cap[b] = top
 
-    def spread(i, j, left):
-        if j == n:
-            row(i + 1)
-            return
-        room = sum(cols[j + 1:])
-        var = (i + 1, j + 1)
-        for k in range(max(0, left - room), min(left, cols[j]) + 1):
-            cols[j] -= k
-            mono.extend([var] * k)
-            spread(i, j + 1, left - k)
-            del mono[len(mono) - k:]
-            cols[j] += k
-
-    row(0)
+    fill(0)
     return out
 
 

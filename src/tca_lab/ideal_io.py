@@ -123,6 +123,7 @@ def parse_ideal_text(text):
     """Parse an ideal description; returns (VariableSystem, [polynomial])."""
     flavor = None
     rank = None
+    system = None
     gens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -147,13 +148,13 @@ def parse_ideal_text(text):
         if flavor is None or rank is None:
             raise ParseError("flavor and rank must be declared before generators",
                              lineno, 1)
+        system = system or VariableSystem(flavor, rank)
         # Tokenize the raw line up to any comment so columns match the file.
         body = raw.split("#", 1)[0]
-        parser = _PolyParser(VariableSystem(flavor, rank), body, lineno)
-        gens.append(parser.parse())
+        gens.append(_PolyParser(system, body, lineno).parse())
     if flavor is None or rank is None:
         raise ParseError("input never declared flavor and rank", 1, 1)
-    return VariableSystem(flavor, rank), gens
+    return system or VariableSystem(flavor, rank), gens
 
 
 def load_ideal_file(path):

@@ -24,11 +24,12 @@ an isotypic or generated ideal, ...) and reports from which rank each
 A strand enumerates only what fits its weight: a chain basis takes the
 p-subsets of variables from a depth-first search that stops as soon as a
 label runs out of capacity, grouped by what they leave of the weight, and
-the monomials of each remainder come from the row-by-row
-:func:`tca_lab.algebra.monomials_of_weight`.  The d∘d = 0 check on a
-basis vector of K_p combines the images of K_{p-1}, kept for one strand,
-along the terms of its own image: d is linear, so this is d(d(x)) without
-a second differential.
+the monomials of each remainder come from
+:func:`tca_lab.algebra.monomials_of_weight`.  Both searches read the
+variables and their weight slots from the system's ``capacity_table``.
+The d∘d = 0 check on a basis vector of K_p combines the images of
+K_{p-1}, kept for one strand, along the terms of its own image: d is
+linear, so this is d(d(x)) without a second differential.
 
 Each KoszulComplex keeps its own caches, built lazily and dropped with it:
 the quotient bases per (degree, weight) and the normal form of every
@@ -135,12 +136,9 @@ class KoszulComplex:
     """
 
     def __init__(self, ideal, p_max):
-        self.system = system = ideal.system
+        self.system = ideal.system
         self.ideal = ideal
         self.p_max = p_max
-        self.variables = system.variables()
-        # one slot per label index of a variable, so at most two
-        self._slots = [system.slots(v) for v in self.variables]
         self._quotient_cache = {}
         self._normal_forms = {}      # monomial -> normal form modulo I
 
@@ -189,11 +187,10 @@ class KoszulComplex:
     def _fitting_subsets(self, p, w):
         """The p-subsets of variables whose weight fits under ``w``, grouped
         by what is left of the flat view of ``w``; a depth-first search
-        that takes a variable only while every label it uses has capacity
-        left."""
+        over :attr:`VariableSystem.capacity_table` that takes a variable
+        only while every label it uses has capacity left."""
         cap = list(self.system.flatten(w))
-        slots = self._slots
-        variables = self.variables
+        table = self.system.capacity_table
         groups = {}
         chosen = []
 
@@ -201,15 +198,15 @@ class KoszulComplex:
             if not left:
                 groups.setdefault(tuple(cap), []).append(tuple(chosen))
                 return
-            for idx in range(start, len(slots) - left + 1):
-                slot = slots[idx]
-                for t in slot:
+            for idx in range(start, len(table) - left + 1):
+                v, slots, _, _ = table[idx]
+                for t in slots:
                     cap[t] -= 1
-                if cap[slot[0]] >= 0 and cap[slot[-1]] >= 0:
-                    chosen.append(variables[idx])
+                if cap[slots[0]] >= 0 and cap[slots[-1]] >= 0:
+                    chosen.append(v)
                     dfs(idx + 1, left - 1)
                     chosen.pop()
-                for t in slot:
+                for t in slots:
                     cap[t] += 1
 
         dfs(0, p)
@@ -321,14 +318,12 @@ def tor_table(source, p_max, q_max, *, sample_check_seed=None):
     recomputed directly and compared — a mismatch means the character was
     not actually symmetric, which is reported as the dedicated error.
     """
-    meta = {"p_max": p_max, "q_max": q_max}
     if isinstance(source, DeterminantalIdealSpec):
         ideal = determinantal_ideal(source)
-        meta["ideal"] = source.describe()
-        meta["trivial"] = source.is_trivial
+        meta = {"ideal": source.describe(), "trivial": source.is_trivial}
     else:
         ideal = source
-        meta["ideal"] = ideal.label or "(custom)"
+        meta = {"ideal": ideal.label or "(custom)"}
     system = ideal.system
     complex_ = KoszulComplex(ideal, p_max)
     rng = Random(sample_check_seed) if sample_check_seed is not None else None

@@ -273,6 +273,16 @@ def test_weights_without_monomials_enumerate_nothing(flavor, top):
         assert monomials_of_weight(system, 1, (1, 0, 0)) == []   # odd total
 
 
+@pytest.mark.parametrize("flavor,rank,w", [
+    ("symmetric", 2, (1, 0, 1)),          # would name x[1,3] at rank 2
+    ("symmetric", 3, (1, 1)),
+    ("generic", 2, ((1, 0, 0), (1,))),
+])
+def test_weights_of_the_wrong_length_are_refused(flavor, rank, w):
+    with pytest.raises(ValueError, match="not the rank"):
+        monomials_of_weight(VariableSystem(flavor, rank), 1, w)
+
+
 def oracle_subweights(system, w, d):
     """Weights of degree-``d`` monomials bounded above coordinatewise by
     ``w``, one flavor branch per layout (the composition that
