@@ -5,12 +5,14 @@ edge or push an endpoint up; the richer order also allows the two
 degree-preserving swaps that uncross or unnest a pair of edges.  The
 family gamma_3, gamma_4, ... separates the two orders: its members are
 pairwise incomparable under growth moves alone but form a chain once
-swaps are allowed, with explicit replayable move sequences.
+swaps are allowed, with explicit replayable move sequences.  Last, the
+width of each order on the two-edge matchings of 1..6, read off the moves.
 """
 
-from tca_lab.matchings import (all_matchings, antichain_search, fmt_matching,
-                               fmt_move, gamma_family, leq_full, leq_type1,
-                               matching, replay, type1_moves, type2_moves)
+from tca_lab.matchings import (all_matchings, fmt_matching, fmt_move,
+                               gamma_family, leq_full, leq_type1, matching,
+                               max_antichain, replay, type1_moves, type2_moves,
+                               universe_order)
 
 nested = matching([(1, 4), (2, 3)])
 crossing = matching([(1, 3), (2, 4)])
@@ -44,11 +46,15 @@ for a, b in ((3, 4), (4, 5), (3, 5)):
     print(f"gamma_{a} -> gamma_{b}: witness of {len(moves)} moves replays")
 
 print()
-count = len(all_matchings(2, 6))
-print(f"{count} two-edge matchings on labels 1..6")
-for order in ("type1", "full"):
-    anti = antichain_search(2, 6, order=order)
-    name = "growth-only" if order == "type1" else "growth-and-swap"
-    print(f"greedy antichain under the {name} order: {len(anti)} member(s)")
+universe = all_matchings(2, 6)
+print(f"{len(universe)} two-edge matchings on labels 1..6")
+orders = (("growth-only", lambda g: type1_moves(g, 6), leq_type1, 9),
+          ("growth-and-swap", lambda g: type1_moves(g, 6) + type2_moves(g),
+           leq_full, 7))
+for name, moves, decide, want in orders:
+    anti, width = max_antichain(universe, universe_order(universe, moves))
+    assert width == len(anti) == want
+    assert not any(decide(a, b) for a in anti for b in anti if a != b)
+    print(f"width under the {name} order: {width}, attained by")
     for g in anti:
         print("  ", fmt_matching(g))

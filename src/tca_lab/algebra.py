@@ -82,7 +82,6 @@ LAYOUTS = {
 FLAVORS = tuple(LAYOUTS)
 MATRIX_FLAVORS = ("symmetric", "antisymmetric", "generic")
 MATCHING_FLAVORS = ("symmetric", "antisymmetric")
-INITIAL_DATA_FLAVORS = MATCHING_FLAVORS + ("degree_one",)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ Commands and actions, each with only the flags it reads::
     tca-lab decompose  [--flavor F] [--rank n] [--degree d]
     tca-lab poset verify-example  [--nrange a..b] [--budget B]
     tca-lab poset compare A B  [--budget B]
-    tca-lab poset antichain [type1|full]  [--degree k] [--rank n] [--budget B]
+    tca-lab poset antichain [type1|full]  [--degree k] [--rank n]
     tca-lab poset sandbox  [--rank n] [--degree d] [--seed S]
     tca-lab ideal lattice  [--flavor F] [--rank n] [--degree d]
     tca-lab ideal initial-set|move-closure  --input FILE [--degree d] [--rank n]
@@ -28,7 +28,7 @@ import sys
 
 from . import algebra, matchings, torlab
 from .acceptance import SANDBOX_IDEALS, run_all, sandbox_ideals
-from .algebra import (INITIAL_DATA_FLAVORS, MATRIX_FLAVORS, EquivariantIdeal,
+from .algebra import (MATCHING_FLAVORS, MATRIX_FLAVORS, EquivariantIdeal,
                       VariableSystem, algebra_closed_formula, block_vanishes,
                       decompose_algebra, ideal_contains_isotypic)
 from .errors import ParseError, SearchBudgetExceededError, TcaLabError
@@ -171,18 +171,24 @@ def _poset_compare(rep, args):
               f"growth={growth} swaps={full}")
 
 
-@_budgeted
-def _poset_antichain(rep, args):
+def _poset_antichain(args):
     order, k, bound = args.order, args.degree, args.rank
-    found = matchings.antichain_search(k, bound, order=order, budget=args.budget)
-    rep.line(f"{len(found)} pairwise-incomparable matchings with {k} edges "
-             f"on vertices 1..{bound} under the "
-             f"{'growth-only' if order == 'type1' else 'full'} order:")
+    rep = Report("poset antichain",
+                 config={"order": order, "degree": k, "rank": bound})
+    universe = matchings.all_matchings(k, bound)
+    leq = matchings.universe_order(universe, lambda g: matchings.type1_moves(
+        g, bound) + (matchings.type2_moves(g) if order == "full" else []))
+    found, width = matchings.max_antichain(universe, leq)
+    rep.line(f"width {width}: {width} pairwise-incomparable matchings with {k} "
+             f"edges on vertices 1..{bound} under the "
+             f"{'growth-only' if order == 'type1' else 'full'} order, one per "
+             f"chain of a minimum chain cover of all {len(universe)}:")
     for g in found:
         rep.line(f"  {fmt_matching(g)}")
     rep.record("antichain", order=order, edge_count=k, vertex_bound=bound,
-               members=[fmt_matching(g) for g in found])
-    rep.check("antichain-found", True, f"size {len(found)}")
+               width=width, members=[fmt_matching(g) for g in found])
+    rep.check("antichain-width", True, f"width {width}")
+    return rep
 
 
 def _poset_sandbox(args):
@@ -257,9 +263,9 @@ def _load_input_ideal(args):
     """Read ``--input`` and open the report with its setup; return
     (report, ideal, degree, support bound)."""
     system, gens = load_ideal_file(args.input)
-    if system.flavor not in INITIAL_DATA_FLAVORS:
+    if system.flavor not in MATCHING_FLAVORS:
         raise ParseError("initial sets are defined for "
-                         f"{', '.join(INITIAL_DATA_FLAVORS)} ideals, "
+                         f"{', '.join(MATCHING_FLAVORS)} ideals, "
                          f"not {system.flavor}")
     degree = args.degree
     bound = min(args.rank, system.rank) if args.rank is not None else system.rank
@@ -414,8 +420,8 @@ def build_parser():
                "compare two matchings under both orders")
     p.add_argument("a", metavar="A")
     p.add_argument("b", metavar="B")
-    p = action(poset, "antichain", _poset_antichain, "degree rank budget",
-               "an antichain of matchings", degree=2, rank=6)
+    p = action(poset, "antichain", _poset_antichain, "degree rank",
+               "the width of a matching order", degree=2, rank=6)
     p.add_argument("order", nargs="?", choices=("type1", "full"), default="full")
     action(poset, "sandbox", _poset_sandbox, "rank degree seed",
            "the two-color degree-one sandbox", rank=6, degree=2)

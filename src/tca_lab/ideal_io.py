@@ -1,6 +1,6 @@
 """Plain-text input for ideals and matchings.
 
-An ideal file names a flavor and a rank, then lists one generator
+An ideal file names a matrix flavor and a rank, then lists one generator
 polynomial per line::
 
     # 2x2 symmetric determinant
@@ -18,7 +18,7 @@ with a 1-based line and column.
 import re
 from fractions import Fraction
 
-from .algebra import FLAVORS, VariableSystem, poly_add, term
+from .algebra import FLAVORS, MATRIX_FLAVORS, VariableSystem, poly_add, term
 from .errors import ParseError
 
 _TOKEN = re.compile(
@@ -114,8 +114,6 @@ class _PolyParser:
         n = self.system.rank
         if not (1 <= i <= n and 1 <= j <= n):
             self.fail(f"index out of range for rank {n}: x[{i},{j}]", col)
-        if self.system.flavor == "degree_one":
-            self.fail("two-index variables have no degree-one meaning", col)
         return pair
 
 
@@ -136,8 +134,9 @@ def parse_ideal_text(text):
                 raise ParseError(f"{key} must precede the generators", lineno, 1)
             value = rest.strip()
             if key == "flavor":
-                if value not in FLAVORS:
-                    raise ParseError(f"unknown flavor {value!r}", lineno,
+                if value not in MATRIX_FLAVORS:
+                    kind = "not a matrix" if value in FLAVORS else "unknown"
+                    raise ParseError(f"{kind} flavor {value!r}", lineno,
                                      raw.index(value) + 1 if value else 1)
                 flavor = value
             else:

@@ -31,6 +31,10 @@ decrease the edge count, the label sum, or the largest label, and swap
 moves preserve all three, so the state space below a fixed target is
 finite and the search is complete.
 
+Between k-edge matchings on 1..n, ``universe_order`` reads either order
+off the moves in one scan, and ``max_antichain`` its width with a chain
+cover as the certificate.
+
 A ``budget`` caps the search work examined by one decision: each candidate
 subset and each expanded breadth-first state spends one unit, and running
 out raises :class:`SearchBudgetExceededError` rather than answering.
@@ -53,7 +57,7 @@ algebra module documents the lone violating slice.)
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
+from itertools import combinations, product
 from typing import NamedTuple
 
 from .errors import IndexTooSmallError, SearchBudgetExceededError
@@ -348,7 +352,7 @@ def leq_full(a, b, budget=None, witness=False):
 
 
 # ---------------------------------------------------------------------------
-# The standard family and antichain search.
+# The standard family and poset widths.
 
 
 def gamma_family(n):
@@ -409,44 +413,37 @@ def family_rotation_chain(n):
 
 def all_matchings(edge_count, vertex_bound):
     """Every matching with exactly ``edge_count`` edges on labels <= bound,
-    in a deterministic order."""
-    out = []
-
-    def build(avail, k, acc):
-        if k == 0:
-            out.append(matching(acc))
-            return
-        if len(avail) < 2 * k:
-            return
-        first = avail[0]
-        rest = avail[1:]
-        # first stays unused
-        build(rest, k, acc)
-        for idx in range(len(rest)):
-            build(rest[:idx] + rest[idx + 1:], k - 1, acc + [(first, rest[idx])])
-
-    build(list(range(1, vertex_bound + 1)), edge_count, [])
-    return sorted(set(out), key=matching_key)
+    sorted by ``matching_key``; each round adds an edge on free labels."""
+    labels = frozenset(range(1, vertex_bound + 1))
+    level = {()}
+    for _ in range(edge_count):
+        level = {_canon(g + (e,)) for g in level
+                 for e in combinations(sorted(labels - vertices(g)), 2)}
+    return sorted(level, key=matching_key)
 
 
-def antichain_search(edge_count, vertex_bound, order="type1", budget=None):
-    """Greedy maximal antichain among matchings of a fixed edge count.
+def universe_order(universe, moves):
+    """``leq(a, b)`` for the order that ``moves`` generate on a universe.
 
-    ``order`` selects the comparison ('type1' for growth moves only, 'full'
-    for both families).  Deterministic: candidates are scanned in the total
-    order, and each is kept iff incomparable with everything kept so far.
+    ``moves(g)`` lists (move, image) pairs; images outside the universe are
+    dropped.  Every move raises ``matching_key`` (a shift raises one edge
+    key, a swap the larger of its two), so no path between k-edge matchings
+    on 1..n leaves them, and reachability is one reverse scan of the sorted
+    universe that ORs the bitsets of one-step images.  Raises ValueError if
+    an image sorts at or below its source.
     """
-    if order == "type1":
-        leq = lambda a, b: leq_type1(a, b, budget)
-    elif order == "full":
-        leq = lambda a, b: leq_full(a, b, budget)
-    else:
-        raise ValueError(f"order must be 'type1' or 'full', got {order!r}")
-    chosen = []
-    for cand in all_matchings(edge_count, vertex_bound):
-        if all(not leq(cand, kept) and not leq(kept, cand) for kept in chosen):
-            chosen.append(cand)
-    return chosen
+    elems = sorted(universe, key=matching_key)
+    index = {g: u for u, g in enumerate(elems)}
+    reach = [0] * len(elems)
+    for u in reversed(range(len(elems))):
+        up = [index[img] for _, img in moves(elems[u]) if img in index]
+        if min(up, default=u + 1) <= u:
+            raise ValueError(f"a move from {fmt_matching(elems[u])} does not "
+                             "raise matching_key")
+        reach[u] = 1 << u
+        for v in up:
+            reach[u] |= reach[v]
+    return lambda a, b: bool(reach[index[a]] >> index[b] & 1)
 
 
 def max_antichain(elements, leq):
@@ -611,8 +608,6 @@ def degree_one_leq(a, b) -> bool:
 
 def all_colored_sets(max_size, vertex_bound):
     """Every colored set with at most ``max_size`` elements on labels <= bound."""
-    from itertools import combinations, product
-
     out = [colored_set(())]
     for size in range(1, max_size + 1):
         for support in combinations(range(1, vertex_bound + 1), size):

@@ -236,6 +236,16 @@ def test_cli_poset_antichain(capsys):
     code, out, _ = run(capsys, "poset", "antichain")
     assert code == 0
     assert "pairwise-incomparable matchings with 2 edges on vertices 1..6" in out
+    assert "width 7: 7 pairwise-incomparable" in out
+    assert "under the full order" in out
+    assert "check antichain-width: PASS  [width 7]" in out
+    assert sum(line.startswith("  {") for line in out.splitlines()) == 7
+
+    code, out, _ = run(capsys, "poset", "antichain", "type1")
+    assert code == 0
+    assert "width 9: 9 pairwise-incomparable" in out
+    assert "under the growth-only order" in out
+    assert "check antichain-width: PASS  [width 9]" in out
 
     code, _, err = run(capsys, "poset", "antichain", "sideways")
     assert code == 4
@@ -320,7 +330,20 @@ def test_cli_ideal_refuses_flavors_without_initial_data(tmp_path, capsys,
     assert code == 4
     assert out == "" and "Traceback" not in err
     assert err.startswith("input error: initial sets are defined for "
-                          "symmetric, antisymmetric, degree_one ideals")
+                          "symmetric, antisymmetric ideals")
+
+
+@pytest.mark.parametrize("subtask", ["initial-set", "move-closure"])
+def test_cli_ideal_refuses_a_degree_one_header(tmp_path, capsys, subtask):
+    """An ideal file names a matrix flavor; a degree_one header is refused
+    where it stands, generators or not."""
+    path = tmp_path / "degree_one.ideal"
+    for body in ("", "x[1,2]\n"):
+        path.write_text("rank: 2\nflavor: degree_one\n" + body, encoding="utf-8")
+        code, out, err = run(capsys, "ideal", subtask, "--input", str(path))
+        assert code == 4 and out == ""
+        assert err == ("input error: not a matrix flavor 'degree_one' "
+                       "at line 2, column 9\n")
 
 
 def test_cli_tor(capsys):
@@ -397,6 +420,7 @@ def test_cli_budget_and_env(capsys):
     ("poset", "compare", "{(1,2)}", "{(2,3)}", "--seed", "9"),
     ("poset", "antichain", "type1", "--nrange", "3"),
     ("poset", "antichain", "type1", "--seed", "3"),
+    ("poset", "antichain", "type1", "--budget", "1"),
     ("poset", "sandbox", "--nrange", "3..4"),
     ("poset", "sandbox", "--budget", "1"),
     ("ideal", "lattice", "--input", "FILE"),
@@ -443,8 +467,7 @@ EVERY_FLAG = {
     ("decompose",): ["--flavor", "generic", "--rank", "2", "--degree", "1"],
     ("poset", "verify-example"): ["--nrange", "3..4", "--budget", "1"],
     ("poset", "compare"): ["{(1,2)}", "{(2,3)}", "--budget", "50"],
-    ("poset", "antichain"): ["type1", "--degree", "1", "--rank", "3",
-                             "--budget", "50"],
+    ("poset", "antichain"): ["type1", "--degree", "1", "--rank", "3"],
     ("poset", "sandbox"): ["--rank", "2", "--degree", "1", "--seed", "3"],
     ("ideal", "lattice"): ["--flavor", "generic", "--rank", "2", "--degree", "1"],
     ("ideal", "initial-set"): ["--input", "FILE", "--degree", "1", "--rank", "2"],

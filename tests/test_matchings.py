@@ -7,9 +7,10 @@ ordered pair.  A plain breadth-first search over the moves is the second
 oracle, for random pairs on more labels.
 """
 
+import functools
 import random
 from collections import deque
-from itertools import combinations, product
+from itertools import combinations, product, zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,6 @@ from tca_lab.matchings import (
     Move,
     all_colored_sets,
     all_matchings,
-    antichain_search,
     apply_move,
     colored_key,
     colored_set,
@@ -42,6 +42,7 @@ from tca_lab.matchings import (
     replay,
     type1_moves,
     type2_moves,
+    universe_order,
     vertices,
 )
 
@@ -210,16 +211,6 @@ def test_all_matchings_enumeration():
     assert all_matchings(2, 3) == []
 
 
-def test_antichain_search():
-    assert antichain_search(1, 4, order="type1") == [matching([(1, 2)])]
-    found = antichain_search(2, 6, order="full")
-    for a, b in combinations(found, 2):
-        assert not leq_full(a, b) and not leq_full(b, a)
-    assert found == antichain_search(2, 6, order="full")  # deterministic
-    with pytest.raises(ValueError):
-        antichain_search(1, 4, order="colex")
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive closure oracle: <= 3 edges, labels <= 8.
 
@@ -301,6 +292,112 @@ def test_leq_type1_agrees_with_closure_on_every_pair():
         reach = REACH_GROWTH[u]
         for v, b in enumerate(UNIVERSE):
             assert leq_type1(a, b) == bool(reach >> v & 1), (a, b)
+
+
+# -- the order of a k-edge universe, read off its moves --------------------
+
+
+def growth_moves(n):
+    return lambda g: type1_moves(g, n)
+
+
+def full_moves(n):
+    return lambda g: type1_moves(g, n) + type2_moves(g)
+
+
+@functools.cache
+def pairing_shape(g):
+    """The pairing of g's sorted labels (by rank), and the sorted labels."""
+    labels = sorted(vertices(g))
+    rank = {v: r for r, v in enumerate(labels)}
+    return sorted((rank[i], rank[j]) for i, j in g), labels
+
+
+def growth_closed_form(a, b):
+    """The growth order between equal edge counts in closed form: the same
+    pairing of the sorted labels, and a's sorted labels pointwise at most
+    b's (shifts never let one label pass another)."""
+    (pa, la), (pb, lb) = pairing_shape(a), pairing_shape(b)
+    return pa == pb and all(x <= y for x, y in zip(la, lb))
+
+
+def closure_leq(reach):
+    index = {g: u for u, g in enumerate(UNIVERSE)}
+    return lambda a, b: bool(reach[index[a]] >> index[b] & 1)
+
+
+# (name, k, n, moves, oracles).  Pairwise leq_full stops at (2,7), where it
+# takes under a second, and leq_type1 at (3,8).  The exhaustive closure over
+# every matching of at most 3 edges on 1..8 covers the larger full-order
+# universes; the closed form, checked against leq_type1 up to (3,8), covers
+# (3,9).
+FULL_CLOSURE = closure_leq(REACH_FULL)
+UNIVERSE_ORDERS = [
+    ("full", 1, 6, full_moves(6), (leq_full,)),
+    ("full", 2, 6, full_moves(6), (leq_full,)),
+    ("full", 2, 7, full_moves(7), (leq_full,)),
+    ("full", 2, 8, full_moves(8), (FULL_CLOSURE,)),
+    ("full", 3, 8, full_moves(8), (FULL_CLOSURE,)),
+    ("type1", 1, 4, growth_moves(4), (leq_type1, growth_closed_form)),
+    ("type1", 2, 6, growth_moves(6), (leq_type1, growth_closed_form)),
+    ("type1", 2, 8, growth_moves(8), (leq_type1, growth_closed_form)),
+    ("type1", 3, 8, growth_moves(8), (leq_type1, growth_closed_form)),
+    ("type1", 3, 9, growth_moves(9), (growth_closed_form,)),
+]
+
+
+@pytest.mark.parametrize("name,k,n,moves,oracles", UNIVERSE_ORDERS,
+                         ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in UNIVERSE_ORDERS])
+def test_universe_order_agrees_on_every_pair(name, k, n, moves, oracles):
+    universe = all_matchings(k, n)
+    leq = universe_order(universe, moves)
+    for a in universe:
+        for b in universe:
+            want = leq(a, b)
+            assert all(oracle(a, b) == want for oracle in oracles), (a, b)
+
+
+def test_universe_order_refuses_moves_that_go_down():
+    universe = all_matchings(1, 4)
+    up = growth_moves(4)
+    down = lambda g: [(mv, h) for h in universe for mv, img in up(h) if img == g]
+    assert universe_order(universe, up)(matching([(1, 2)]), matching([(3, 4)]))
+    for moves in (down, lambda g: [(None, g)]):
+        with pytest.raises(ValueError, match="does not raise matching_key"):
+            universe_order(universe, moves)
+
+
+def gaussian_binomial(n, m):
+    """Coefficients of [n choose m]_q by the q-Pascal rule
+    [n, m] = [n-1, m-1] + q^m [n-1, m]."""
+    if m in (0, n):
+        return [1]
+    low = gaussian_binomial(n - 1, m - 1)
+    high = [0] * m + gaussian_binomial(n - 1, m)
+    return [x + y for x, y in zip_longest(low, high, fillvalue=0)]
+
+
+@pytest.mark.parametrize("k,n", [(2, 6), (2, 8), (3, 8), (3, 9), (3, 10)])
+def test_growth_width_is_the_sperner_closed_form(k, n):
+    """The growth order on k-edge matchings is (2k-1)!! copies of Young's
+    lattice L(2k, n-2k), which is Sperner (Stanley 1980): its width is its
+    largest rank, the largest coefficient of [n choose 2k]_q."""
+    patterns = 1
+    for odd in range(1, 2 * k, 2):
+        patterns *= odd
+    universe = all_matchings(k, n)
+    antichain, width = max_antichain(universe,
+                                     universe_order(universe, growth_moves(n)))
+    assert width == len(antichain) == patterns * max(gaussian_binomial(n, 2 * k))
+    for a, b in combinations(antichain, 2):
+        assert not leq_type1(a, b) and not leq_type1(b, a)
+
+
+def test_full_widths():
+    for (k, n), want in {(2, 6): 7, (2, 7): 13, (2, 8): 22, (3, 8): 46}.items():
+        universe = all_matchings(k, n)
+        leq = universe_order(universe, full_moves(n))
+        assert max_antichain(universe, leq)[1] == want
 
 
 def test_growth_witnesses_replay_on_every_comparable_pair():
