@@ -41,11 +41,11 @@ Initial data: a vector of "admissible" weight (every coordinate 0 or 1) is
 supported on squarefree monomials with all indices distinct, i.e. on
 matchings of its support; its initial matching is the largest support
 matching in the total order of :mod:`tca_lab.matchings`.  The initial set
-of an ideal collects the leading matchings of every admissible slice, read
-off as the pivots of an echelon form whose columns are sorted descending.
-The degree_one system reads the same data one degree down: a 0/1 weight
-of degree d is supported on colored sets of d elements, ordered by
-:func:`tca_lab.matchings.colored_key`.
+of an ideal collects the leading matchings of every admissible slice: those
+on an s-element support are the pivots on {1..s}, moved by the
+order-preserving label map (:func:`initial_set` says why this is exact).
+The degree_one system reads the same data one degree down, on colored sets
+ordered by :func:`tca_lab.matchings.colored_key`.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from .matchings import (
     degree_one_moves,
     matching,
     matching_key,
+    relabel,
     type1_moves,
     type2_moves,
 )
@@ -828,51 +829,45 @@ def colored_coords(vec):
 
 def _initial_data(flavor):
     """How a flavor reads its initial data: (coordinates of a vector, total
-    order on them, moves within a label bound).
+    order on them, moves within a label bound, image under a label map).
 
     Matchings for the two matrix flavors, colored sets for ``degree_one``.
     Built on every call, so the move functions are looked up when the code
     runs rather than frozen at import.
     """
     if flavor == "degree_one":
-        return colored_coords, colored_key, degree_one_moves
+        return (colored_coords, colored_key, degree_one_moves,
+                lambda s, f: colored_set((f[e], c) for e, c in s))
     if flavor not in MATCHING_FLAVORS:
         raise ValueError("initial data need a symmetric, antisymmetric "
                          "or degree_one system")
     return (vector_to_matching_coords, matching_key,
-            lambda g, bound: type1_moves(g, bound) + type2_moves(g))
-
-
-def ideal_admissible_component(ideal, support):
-    """Squarefree slice of an equivariant ideal at the indicator weight of
-    ``support``, in matching (or colored-set) coordinates; computed
-    weight-first so only the one needed weight space is ever assembled."""
-    coords, _, _ = _initial_data(ideal.system.flavor)
-    unit = ideal.system.unit
-    support = tuple(sorted(set(support)))
-    if len(support) % unit:
-        return []
-    w = indicator_weight(ideal.system.rank, support)
-    span = ideal.component_span(len(support) // unit, w)
-    return [coords(v) for v in span.vectors()]
+            lambda g, bound: type1_moves(g, bound) + type2_moves(g), relabel)
 
 
 def initial_set(ideal, degree_bound, support_bound):
     """All initial matchings (or colored sets) of admissible vectors within
-    the bounds.
+    the bounds; a support bound above the rank raises ValueError.
 
-    One echelon pass per support: the pivot set of a weight slice is
-    exactly the set of leading terms of its nonzero vectors.
+    One echelon pass per support size s yields the pivots on {1..s}.  A
+    label permutation extending the order-preserving f: {1..s} -> S lies in
+    GL_n and carries that slice onto the one on S up to signs; the order
+    compares labels only by their order, so the pivots on S are their images.
     """
-    _, key, _ = _initial_data(ideal.system.flavor)
-    unit = ideal.system.unit
-    out = set()
+    system = ideal.system
+    coords, key, _, relabel_by = _initial_data(system.flavor)
+    if support_bound > system.rank:
+        raise ValueError(f"support bound {support_bound} > rank {system.rank}")
+    unit = system.unit
+    out = []
     for size in range(unit, min(unit * degree_bound, support_bound) + 1, unit):
+        span = Span(key=key)
+        w = indicator_weight(system.rank, range(1, size + 1))
+        for v in ideal.component_span(size // unit, w).vectors():
+            span.add(coords(v))
         for support in combinations(range(1, support_bound + 1), size):
-            span = Span(key=key)
-            for v in ideal_admissible_component(ideal, support):
-                span.add(v)
-            out.update(span.pivots())
+            f = dict(enumerate(support, 1))
+            out.extend(relabel_by(g, f) for g in span.rows)
     return tuple(sorted(out, key=key))
 
 
@@ -891,7 +886,7 @@ class MoveClosureReport:
 def verify_move_closure(ideal, degree_bound, support_bound):
     """Check that the initial set is stable under every move that stays
     within the bounds; violations are returned, not raised."""
-    _, key, moves = _initial_data(ideal.system.flavor)
+    _, key, moves, _ = _initial_data(ideal.system.flavor)
     inset = set(initial_set(ideal, degree_bound, support_bound))
     moves_checked = 0
     violations = []

@@ -6,9 +6,10 @@ rule, what the package computes another way.
 
 from functools import lru_cache
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
-from tca_lab.algebra import (highest_weight_vector, lie_act, monomials_of_weight,
+from tca_lab.algebra import (Span, _initial_data, highest_weight_vector,
+                             indicator_weight, lie_act, monomials_of_weight,
                              weight_split)
 from tca_lab.errors import TcaLabError
 from tca_lab.matchings import matching_key
@@ -200,6 +201,41 @@ def _nullspace(mat, ncols):
             vec[c] = -rows[pr][fc]
         basis.append(vec)
     return basis
+
+
+# ---------------------------------------------------------------------------
+# Initial sets one support at a time.
+
+
+def admissible_component(ideal, support):
+    """Squarefree slice of an equivariant ideal at the indicator weight of
+    ``support``, in matching (or colored-set) coordinates; computed
+    weight-first so only the one needed weight space is ever assembled."""
+    coords = _initial_data(ideal.system.flavor)[0]
+    unit = ideal.system.unit
+    support = tuple(sorted(set(support)))
+    if len(support) % unit:
+        return []
+    w = indicator_weight(ideal.system.rank, support)
+    span = ideal.component_span(len(support) // unit, w)
+    return [coords(v) for v in span.vectors()]
+
+
+def initial_set_by_support(ideal, degree_bound, support_bound):
+    """All initial matchings (or colored sets) of admissible vectors within
+    the bounds, from one echelon pass per support rather than per support
+    size: the pivot set of a weight slice is exactly the set of leading
+    terms of its nonzero vectors."""
+    key = _initial_data(ideal.system.flavor)[1]
+    unit = ideal.system.unit
+    out = set()
+    for size in range(unit, min(unit * degree_bound, support_bound) + 1, unit):
+        for support in combinations(range(1, support_bound + 1), size):
+            span = Span(key=key)
+            for v in admissible_component(ideal, support):
+                span.add(v)
+            out.update(span.pivots())
+    return tuple(sorted(out, key=key))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from itertools import combinations
 import pytest
 
 from tca_lab.algebra import (
+    MATCHING_FLAVORS,
     EquivariantIdeal,
     Span,
     VariableSystem,
@@ -21,7 +22,6 @@ from tca_lab.algebra import (
     block_vanishes,
     decompose_algebra,
     highest_weight_vector,
-    ideal_admissible_component,
     ideal_contains_isotypic,
     initial_set,
     lie_act,
@@ -36,11 +36,14 @@ from tca_lab.algebra import (
     weight_splits,
 )
 from tca_lab.matchings import fmt_matching, leq_full, matching
-from tca_lab.partitions import contains, partitions_upto
+from tca_lab.partitions import (contains, partitions_of, partitions_upto,
+                                transpose)
 
-from oracles import (ZeroVectorError, branchy_lie_act, branchy_variables,
-                     branchy_weight, hw_weight, ideal_component, ideal_contains,
-                     initial_matching, monomials_of_degree, raising_kernel)
+from oracles import (ZeroVectorError, admissible_component, branchy_lie_act,
+                     branchy_variables, branchy_weight, hw_weight,
+                     ideal_component, ideal_contains, initial_matching,
+                     initial_set_by_support, monomials_of_degree,
+                     raising_kernel)
 
 SYM2 = VariableSystem("symmetric", 2)
 SYM4 = VariableSystem("symmetric", 4)
@@ -471,17 +474,102 @@ def test_containment_fixtures():
 
 def test_admissible_component_fixtures():
     i1 = EquivariantIdeal.isotypic(SYM4, (1,))
-    got = ideal_admissible_component(i1, (1, 2))
+    got = admissible_component(i1, (1, 2))
     assert got == [{matching([(1, 2)]): Fraction(1)}]
     # odd supports carry nothing
-    assert ideal_admissible_component(i1, (1, 2, 3)) == []
+    assert admissible_component(i1, (1, 2, 3)) == []
     # the full quadratic slice on four labels is all three matchings
-    full = ideal_admissible_component(i1, (1, 2, 3, 4))
+    full = admissible_component(i1, (1, 2, 3, 4))
     assert len(full) == 3
-    with pytest.raises(ValueError):
-        ideal_admissible_component(
+
+
+def test_initial_set_refuses_what_it_cannot_read():
+    """A generic ideal has no initial data, and a support bound above the
+    rank names both numbers, for initial sets and move closure alike."""
+    with pytest.raises(ValueError, match="symmetric, antisymmetric"):
+        initial_set(
             EquivariantIdeal.isotypic(VariableSystem("generic", 4), (1,)),
-            (1, 2))
+            1, 2)
+    i1 = EquivariantIdeal.isotypic(SYM4, (1,))
+    with pytest.raises(ValueError, match="support bound 5 > rank 4"):
+        initial_set(i1, 2, 5)
+    with pytest.raises(ValueError, match="support bound 5 > rank 4"):
+        verify_move_closure(i1, 2, 5)
+    sandbox = EquivariantIdeal.from_generators(
+        VariableSystem("degree_one", 3), [{((0, 1),): 1}])
+    with pytest.raises(ValueError, match="support bound 4 > rank 3"):
+        initial_set(sandbox, 2, 4)
+
+
+def initial_set_universe():
+    """(ideal, degree bound, support bound): every non-vanishing isotypic
+    ideal with |lam| <= 3 at ranks 4-6, the seeded sandbox ideals and a few
+    orbit ideals."""
+    from tca_lab.acceptance import sandbox_ideals
+
+    for flavor in MATCHING_FLAVORS:
+        for rank in (4, 5, 6):
+            system = VariableSystem(flavor, rank)
+            for lam in partitions_upto(3):
+                if not block_vanishes(system, lam):
+                    yield EquivariantIdeal.isotypic(system, lam), 3, rank
+    for ideal in sandbox_ideals(1729, 6, 2):
+        yield ideal, 3, 6
+    sym5 = VariableSystem("symmetric", 5)
+    anti6 = VariableSystem("antisymmetric", 6)
+    for system, terms in (
+            (SYM4, [(1, [(1, 1), (2, 2)]), (-1, [(1, 2), (1, 2)])]),
+            (sym5, [(1, [(1, 2), (3, 3)])]),
+            (sym5, [(2, [(1, 4), (2, 3)]), (1, [(1, 2), (3, 4)])]),
+            (anti6, [(1, [(1, 2), (3, 4)]), (-1, [(1, 3), (2, 4)])])):
+        gen = sym_poly(system, *terms)
+        yield EquivariantIdeal.from_generators(system, [gen]), 3, system.rank
+
+
+def test_initial_set_relabels_the_support_by_support_oracle():
+    """One slice per support size, relabelled, gives the same initial set
+    as one echelon pass per support."""
+    count = 0
+    for ideal, degree, bound in initial_set_universe():
+        assert initial_set(ideal, degree, bound) == \
+            initial_set_by_support(ideal, degree, bound), ideal.label
+        count += 1
+    assert count == 54
+
+
+def tableaux(shape):
+    """Number of standard Young tableaux of ``shape``, by hook lengths."""
+    cols = transpose(shape)
+    hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            hooks *= row - j + cols[j] - i - 1
+    return math.factorial(sum(shape)) // hooks
+
+
+def closed_form_initial_size(mu, degree_bound, support_bound):
+    """The slice of I(mu) on {1..2k} has the dimension of the weight
+    (1^2k) in its blocks S_(2 lam) (or their transposes), lam |- k holding
+    mu; each 2k-element support carries that many initial matchings."""
+    return sum(math.comb(support_bound, 2 * k)
+               * sum(tableaux(tuple(2 * x for x in lam))
+                     for lam in partitions_of(k) if contains(mu, lam))
+               for k in range(1, min(degree_bound, support_bound // 2) + 1))
+
+
+@pytest.mark.parametrize("flavor", MATCHING_FLAVORS)
+def test_initial_set_sizes_follow_the_blocks_of_the_ideal(flavor):
+    system = VariableSystem(flavor, 8)
+    sizes = []
+    for mu in ((), (1,), (2,), (1, 1)):
+        size = len(initial_set(EquivariantIdeal.isotypic(system, mu), 4, 8))
+        assert size == closed_form_initial_size(mu, 4, 8), mu
+        sizes.append(size)
+    assert sizes == [763, 763, 441, 636]
+    if flavor == "symmetric":
+        big = EquivariantIdeal.isotypic(VariableSystem(flavor, 12), (2,))
+        assert len(initial_set(big, 4, 12)) == \
+            closed_form_initial_size((2,), 4, 12) == 54780
 
 
 def test_initial_matching_fixtures():
