@@ -30,12 +30,13 @@ Ideals are generated by finite sets of polynomials together with everything
 the derivation action produces from them.  Graded pieces are computed one
 weight at a time, which keeps every matrix small: the weight-w slice of
 degree d is spanned by (monomial of weight w-w') * (generator component of
-weight w').  For ideals generated by a single highest-weight vector the
-needed generator slices are produced on demand, so the full generating
-representation is never materialized: a label permutation carries the
-slice at the dominant weight sort(w) onto the slice at w, and the slice at
-a dominant weight is the span of the simple lowering operators applied to
-the slices one simple root higher.
+weight w').  Every ideal keeps its generator slices in one store, degree
+-> weight -> basis.  For ideals generated by a single highest-weight vector
+the store is filled on demand, so the full generating representation is
+never materialized: a label permutation carries the slice at the dominant
+weight sort(w) onto the slice at w, and the slice at a dominant weight is
+the span of the simple lowering operators applied to the slices one simple
+root higher.
 
 Initial data: a vector of "admissible" weight (every coordinate 0 or 1) is
 supported on squarefree monomials with all indices distinct, i.e. on
@@ -370,15 +371,6 @@ class Span:
     def vectors(self):
         return list(self.rows.values())
 
-    def reduced_vectors(self):
-        """Reduced echelon basis: each pivot minus its normal form."""
-        out = []
-        for m in self.rows:
-            row = {k: -c for k, c in self.reduce({m: 1}).items()}
-            row[m] = 1
-            out.append(row)
-        return out
-
 
 def rep_closure(system, gens):
     """Basis of the smallest derivation-stable subspace containing ``gens``.
@@ -632,8 +624,8 @@ def lowerings_from(system, hwv, w_high, w_target, cache=None):
     The slice is relabelled from the one at the dominant weight
     ``sort(w_target)``, each label block sorted on its own (rows and
     columns separately for the generic system).  Dominant slices are
-    memoised in ``cache``, which must belong to this ``hwv``, and stored as
-    reduced echelon bases.
+    memoised in ``cache``, which must belong to this ``hwv`` (an isotypic
+    ideal passes its store for that degree), and stored as echelon rows.
     """
     if cache is None:
         cache = {}
@@ -688,7 +680,7 @@ def _dominant_slice(system, hwv, w_high, dominant, cache):
             up = system.join(blocks)
             for vec in lowerings_from(system, hwv, w_high, up, cache):
                 span.add(lie_act(system, a + 1, a, vec, side))
-    return span.reduced_vectors()
+    return span.vectors()
 
 
 # ---------------------------------------------------------------------------
@@ -698,20 +690,18 @@ def _dominant_slice(system, hwv, w_high, dominant, cache):
 class EquivariantIdeal:
     """Ideal generated by polynomials plus their derivation-action orbit.
 
-    Two construction paths share this class: ``from_generators``
-    materializes the stable span of the given generators once, while
-    ``isotypic`` keeps a single highest weight vector and produces any
-    required weight slice of its subrepresentation on demand, through
-    :func:`lowerings_from`.
+    The generating subspace is one store, degree -> weight -> basis:
+    ``from_generators`` fills it from :func:`rep_closure`, ``isotypic``
+    registers the degree of its highest weight vector with an empty dict and
+    fills that on demand through :func:`lowerings_from`, and the zero ideal
+    is the empty store.
     """
 
     def __init__(self, system, label=""):
         self.system = system
         self.label = label
-        self._gen_slices = None      # degree -> weight -> list of vectors
-        self._hw = None              # (hwv, degree, weight) when lazy
-        self._lazy_cache = {}        # (degree, weight) -> slice, when lazy
-        self._dominant_cache = {}    # dominant weight -> slice, when lazy
+        self._slices = {}            # degree -> weight -> basis
+        self._hw = None              # (hwv, weight) of an isotypic block
         self._monomial_cache = {}    # (degree, weight) -> monomials_of_weight
 
     # -- construction -----------------------------------------------------
@@ -719,12 +709,10 @@ class EquivariantIdeal:
     @classmethod
     def from_generators(cls, system, gens, label=""):
         ideal = cls(system, label)
-        slices = {}
         for row in rep_closure(system, gens):
             mono = next(iter(row))
-            d = len(mono)
-            slices.setdefault(d, {}).setdefault(system.weight(mono), []).append(row)
-        ideal._gen_slices = slices
+            ideal._slices.setdefault(len(mono), {}).setdefault(
+                system.weight(mono), []).append(row)
         return ideal
 
     @classmethod
@@ -732,34 +720,28 @@ class EquivariantIdeal:
         """The ideal generated by one isotypic block; the zero ideal when
         the block vanishes at this rank."""
         lam = tuple(lam)
-        label = label or f"I[{lam}]"
-        if block_vanishes(system, lam):
-            return cls.from_generators(system, [], label)
-        ideal = cls(system, label)
-        hwv = highest_weight_vector(system, lam)
-        mono = next(iter(hwv))
-        ideal._hw = (hwv, len(mono), system.weight(mono))
+        ideal = cls(system, label or f"I[{lam}]")
+        if not block_vanishes(system, lam):
+            hwv = highest_weight_vector(system, lam)
+            mono = next(iter(hwv))
+            ideal._hw = (hwv, system.weight(mono))
+            ideal._slices[len(mono)] = {}
         return ideal
 
     # -- generator slices ---------------------------------------------------
 
     def gen_degrees(self):
-        if self._hw is not None:
-            return [self._hw[1]]
-        return sorted(self._gen_slices)
+        return sorted(self._slices)
 
     def gen_weight_slice(self, d, w):
         """Basis of the degree-d, weight-w piece of the generating subspace."""
-        if self._hw is not None:
-            hwv, hd, hwt = self._hw
-            if d != hd:
-                return []
-            key = (d, w)
-            if key not in self._lazy_cache:
-                self._lazy_cache[key] = lowerings_from(
-                    self.system, hwv, hwt, w, self._dominant_cache)
-            return self._lazy_cache[key]
-        return self._gen_slices.get(d, {}).get(w, [])
+        slices = self._slices.get(d)
+        if slices is None:
+            return []
+        basis = slices.get(w)
+        if basis is None and self._hw:
+            basis = slices[w] = lowerings_from(self.system, *self._hw, w, slices)
+        return basis or []
 
     # -- graded pieces ------------------------------------------------------
 
@@ -769,10 +751,6 @@ class EquivariantIdeal:
         for e in self.gen_degrees():
             rem = d - e
             if rem < 0:
-                continue
-            if rem == 0:
-                for g in self.gen_weight_slice(e, w):
-                    span.add(g)
                 continue
             for mw, gw in weight_splits(self.system, w, rem):
                 gens = self.gen_weight_slice(e, gw)
@@ -786,6 +764,7 @@ class EquivariantIdeal:
                     for g in gens:
                         span.add(mono_mul_poly(mono, g))
         return span
+
 
 def ideal_contains_isotypic(ideal, mu):
     """Whether the whole isotypic block labelled ``mu`` sits in the ideal.

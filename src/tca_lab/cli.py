@@ -25,6 +25,7 @@ action does not read included.
 import argparse
 import os
 import sys
+from math import comb, prod
 
 from . import algebra, matchings, torlab
 from .acceptance import SANDBOX_IDEALS, run_all, sandbox_ideals
@@ -38,6 +39,8 @@ from .partitions import contains, fmt_partition, partitions_upto
 from .reports import EXIT_INPUT_ERROR, INCONCLUSIVE, Report
 
 DEFAULT_SEED = 1729
+# The largest universe of `poset antichain`: max_antichain makes N^2 tests.
+MAX_ANTICHAIN_UNIVERSE = 5000
 
 
 def parse_nrange(text):
@@ -173,6 +176,10 @@ def _poset_compare(rep, args):
 
 def _poset_antichain(args):
     order, k, bound = args.order, args.degree, args.rank
+    size = comb(bound, 2 * k) * prod(range(1, 2 * k, 2))
+    if size > MAX_ANTICHAIN_UNIVERSE:
+        raise ParseError(f"poset antichain: {size:,} matchings with {k} edges on "
+                         f"1..{bound}, above the bound of {MAX_ANTICHAIN_UNIVERSE:,}")
     rep = Report("poset antichain",
                  config={"order": order, "degree": k, "rank": bound})
     universe = matchings.all_matchings(k, bound)

@@ -318,12 +318,9 @@ def tor_table(source, p_max, q_max, *, sample_check_seed=None):
     recomputed directly and compared — a mismatch means the character was
     not actually symmetric, which is reported as the dedicated error.
     """
-    if isinstance(source, DeterminantalIdealSpec):
-        ideal = determinantal_ideal(source)
-        meta = {"ideal": source.describe(), "trivial": source.is_trivial}
-    else:
-        ideal = source
-        meta = {"ideal": ideal.label or "(custom)"}
+    ideal = (determinantal_ideal(source)
+             if isinstance(source, DeterminantalIdealSpec) else source)
+    meta = {"ideal": ideal.label or "(custom)"}
     system = ideal.system
     complex_ = KoszulComplex(ideal, p_max)
     rng = Random(sample_check_seed) if sample_check_seed is not None else None

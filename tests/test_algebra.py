@@ -13,6 +13,7 @@ from itertools import combinations
 
 import pytest
 
+from tca_lab import algebra
 from tca_lab.algebra import (
     MATCHING_FLAVORS,
     EquivariantIdeal,
@@ -662,9 +663,11 @@ def test_equal_initial_sets_come_from_equal_ideals_small():
     assert sets["block-(2)"] != sets["block-(1,1)"]
 
 
-def test_lowerings_match_the_closure_oracle():
-    """Every weight slice from relabelled dominant slices and simple
-    lowerings equals the weight piece of the block's full closure."""
+def closure_oracle_cases():
+    """(system, lam, hwv, pieces, weights) for every non-vanishing block
+    with |lam| <= 3 of four small universes: ``pieces`` maps each weight to
+    the block's full closure there, and ``weights`` lists every weight of
+    degree |lam|, sorted."""
     for flavor, rank in (("symmetric", 4), ("antisymmetric", 4),
                          ("antisymmetric", 5), ("generic", 3)):
         system = VariableSystem(flavor, rank)
@@ -672,38 +675,59 @@ def test_lowerings_match_the_closure_oracle():
             if not lam or block_vanishes(system, lam):
                 continue
             hwv = highest_weight_vector(system, lam)
-            w_high = hw_weight(system, lam)
             pieces = {}
             for vec in rep_closure(system, [hwv]):
                 pieces.setdefault(system.weight(next(iter(vec))), []).append(vec)
-            cache = {}
-            weights = {system.weight(m)
-                       for m in monomials_of_degree(system, sum(lam))}
-            for w in weights:
-                got = Span()
-                for vec in lowerings_from(system, hwv, w_high, w, cache):
-                    assert got.add(vec) is not None, (flavor, lam, w)
-                oracle = pieces.get(w, [])
-                assert got.rank == len(oracle), (flavor, lam, w)
-                assert all(got.contains(vec) for vec in oracle)
+            weights = sorted({system.weight(m)
+                              for m in monomials_of_degree(system, sum(lam))})
+            yield system, lam, hwv, pieces, weights
 
 
-def test_reduced_vectors_are_a_reduced_echelon_basis():
-    system = VariableSystem("antisymmetric", 5)
-    span = Span()
-    for vec in rep_closure(system, [highest_weight_vector(system, (1, 1))]):
-        span.add(vec)
-    reduced = span.reduced_vectors()
-    assert len(reduced) == span.rank
-    again = Span()
-    for row in reduced:
-        again.add(row)
-    assert again.rank == span.rank
-    assert all(again.contains(vec) for vec in span.vectors())
-    pivots = set(span.pivots())
-    for row in reduced:
-        held = [m for m in row if m in pivots]
-        assert len(held) == 1 and row[held[0]] == 1
+def assert_spans_the_piece(vecs, piece, case):
+    got = Span()
+    for vec in vecs:
+        assert got.add(vec) is not None, case
+    assert got.rank == len(piece), case
+    assert all(got.contains(vec) for vec in piece), case
+
+
+def test_lowerings_match_the_closure_oracle():
+    """Every weight slice from relabelled dominant slices and simple
+    lowerings equals the weight piece of the block's full closure."""
+    for system, lam, hwv, pieces, weights in closure_oracle_cases():
+        w_high = hw_weight(system, lam)
+        cache = {}
+        for w in weights:
+            assert_spans_the_piece(lowerings_from(system, hwv, w_high, w, cache),
+                                   pieces.get(w, []), (system, lam, w))
+
+
+def test_isotypic_store_serves_every_slice_in_either_order():
+    """An isotypic ideal keeps dominant and relabelled slices in one dict;
+    read through ``gen_weight_slice`` in ascending weight order on one
+    ideal and descending on a fresh one, every slice of the generating
+    degree spans the weight piece of the block's closure."""
+    for system, lam, _, pieces, weights in closure_oracle_cases():
+        for order in (weights, weights[::-1]):
+            ideal = EquivariantIdeal.isotypic(system, lam)
+            assert ideal.gen_degrees() == [sum(lam)]
+            for w in order:
+                assert_spans_the_piece(ideal.gen_weight_slice(sum(lam), w),
+                                       pieces.get(w, []), (system, lam, w))
+            assert ideal.gen_weight_slice(sum(lam) + 1, weights[0]) == []
+
+
+def test_a_vanishing_block_is_the_empty_store(monkeypatch):
+    def no_closure(system, gens):
+        raise AssertionError("rep_closure called for a vanishing block")
+
+    monkeypatch.setattr(algebra, "rep_closure", no_closure)
+    system = VariableSystem("symmetric", 2)
+    ideal = EquivariantIdeal.isotypic(system, (1, 1, 1))
+    assert ideal.gen_degrees() == []
+    for d in range(4):
+        for w in {system.weight(m) for m in monomials_of_degree(system, d)}:
+            assert ideal.component_span(d, w).rank == 0
 
 
 def test_antisymmetric_initial_sets():

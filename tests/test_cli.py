@@ -252,6 +252,16 @@ def test_cli_poset_antichain(capsys):
     assert "invalid choice: 'sideways'" in err
 
 
+def test_cli_poset_antichain_refuses_universes_above_the_bound(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "poset", "antichain", "type1",
+                         "--degree", "3", "--rank", "12")
+    assert time.perf_counter() - start < 1
+    assert code == 4 and out == ""
+    assert err.startswith("input error: poset antichain: 13,860 matchings")
+    assert f"{cli.MAX_ANTICHAIN_UNIVERSE:,}" in err
+
+
 def test_cli_poset_sandbox(capsys):
     code, first, _ = run(capsys, "poset", "sandbox", "--seed", "11")
     assert code == 0

@@ -74,14 +74,6 @@ class FractionSpan:
     def vectors(self):
         return list(self.rows.values())
 
-    def reduced_vectors(self):
-        out = []
-        for m in self.rows:
-            row = {k: -c for k, c in self.reduce({m: 1}).items()}
-            row[m] = Fraction(1)
-            out.append(row)
-        return out
-
 
 def assert_integer_rows(span):
     """Every stored row: int entries, content 1, the key's largest

@@ -1,6 +1,6 @@
-"""Every module-level function, class and constant in ``src/tca_lab`` is
-read somewhere in ``src/`` outside its own definition, or in ``demos/`` or
-``perfbench/``.  Reference implementations that only tests call belong in
+"""Every module-level function, class and constant in ``src/tca_lab``, and
+every method of such a class, is read somewhere in ``src/`` outside its own
+definition, or in ``demos/`` or ``perfbench/``.  Reference implementations that only tests call belong in
 ``tests/oracles.py``.  A string equal to the name counts as a read, because
 ``perfbench/tracer.py`` binds names that way; an import alone does not.
 """
@@ -30,28 +30,43 @@ def reads(tree):
 
 
 def definitions(tree):
-    """(name, node) for every function, class and constant bound at module
-    level, dunders excluded."""
+    """(label, name, node) for every function, class and constant bound at
+    module level, dunders excluded."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for sub in (s for t in targets for s in ast.walk(t)):
                 if isinstance(sub, ast.Name) and not sub.id.startswith("__"):
-                    yield sub.id, node
+                    yield sub.id, sub.id, node
 
 
-def unread_names():
+def methods(tree):
+    """(Class.method, method, node) for every method defined on a
+    module-level class, dunders excluded."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("__")):
+                    yield f"{cls.name}.{node.name}", node.name, node
+
+
+def unread_names(defined=definitions):
     modules = {path.name: parse(path)
                for path in sorted((ROOT / "src" / "tca_lab").glob("*.py"))}
     users = [parse(path) for folder in ("demos", "perfbench")
              for path in sorted((ROOT / folder).glob("*.py"))]
     total = sum(map(reads, [*modules.values(), *users]), Counter())
-    return [f"{module}: {name}" for module, tree in modules.items()
-            for name, node in definitions(tree)
+    return [f"{module}: {label}" for module, tree in modules.items()
+            for label, name, node in defined(tree)
             if total[name] <= reads(node)[name]]
 
 
 def test_every_module_level_name_is_read_outside_the_tests():
     assert unread_names() == []
+
+
+def test_every_method_is_read_outside_the_tests():
+    assert unread_names(methods) == []

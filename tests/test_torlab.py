@@ -6,9 +6,11 @@ from itertools import combinations, permutations
 import pytest
 
 from tca_lab.algebra import (EquivariantIdeal, Span, VariableSystem,
-                             highest_weight_vector, poly_add, rep_closure, term)
+                             block_vanishes, highest_weight_vector, poly_add,
+                             rep_closure, term)
 from tca_lab.errors import ParseError
-from tca_lab.partitions import decompose_into_schur
+from tca_lab.partitions import (contains, decompose_into_schur, partitions_of,
+                                transpose)
 from tca_lab.torlab import (
     DeterminantalIdealSpec,
     KoszulComplex,
@@ -20,7 +22,8 @@ from tca_lab.torlab import (
     _dominant_weights,
 )
 from oracles import (all_bounded, ideal_component, ideal_contains,
-                     labels_per_p, monomials_of_degree)
+                     labels_per_p, monomials_of_degree, poly_product,
+                     schur_character)
 from test_algebra import oracle_weight_subtract
 
 
@@ -141,7 +144,7 @@ def test_hypersurface_tables():
 def test_trivial_quotient_table():
     table = tor_table(DeterminantalIdealSpec("symmetric", 3, 3), 2, 3)
     assert table.as_dict() == {(0, 0): {(): 1}}
-    assert table.meta["trivial"]
+    assert table.meta["ideal"].endswith(" (zero ideal)")
 
 
 def exterior_power_character(system, p):
@@ -171,6 +174,47 @@ def test_full_variable_quotient_matches_exterior_powers():
     t2 = tor_table(DeterminantalIdealSpec("symmetric", 2, 0), 3, 3).as_dict()
     assert t2 == {(0, 0): {(): 1}, (1, 1): {(2,): 1},
                   (2, 2): {(3, 1): 1}, (3, 3): {(3, 3): 1}}
+
+
+def quotient_character(spec, system, d):
+    """[(A/I)_d]: the non-vanishing blocks of A_d that do not contain the
+    ideal's block, each as the Schur polynomial of its key."""
+    char = {}
+    for lam in partitions_of(d):
+        if block_vanishes(system, lam) or contains(spec.lam, lam):
+            continue
+        key = tuple(2 * part for part in lam)
+        if spec.flavor == "antisymmetric":
+            key = transpose(key)
+        poly_add(char, schur_character(key, system.rank))
+    return char
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("flavor, bound", [
+    ("symmetric", 0), ("symmetric", 1), ("symmetric", 2),
+    ("antisymmetric", 0), ("antisymmetric", 2)])
+def test_every_tor_row_has_the_koszul_euler_characteristic(flavor, bound, n):
+    """Row by row, sum_p (-1)^p [Tor_{p,q}] equals
+    sum_p (-1)^p [wedge^p A_1] [(A/I)_{q-p}].  Tor_{p,q} vanishes for
+    p >= 1 and q < p + g - 1, g the generator degree, so every p that can
+    be nonzero in the rows q <= p_max + g - 1 is in the table."""
+    p_max = 3
+    spec = DeterminantalIdealSpec(flavor, n, bound)
+    system = VariableSystem(flavor, n)
+    g = sum(spec.lam)
+    table = tor_table(spec, p_max, p_max + g - 1).as_dict()
+    for q in range(p_max + g):
+        tor, koszul = {}, {}
+        for (p, row), labels in table.items():
+            for label, mult in labels.items():
+                if row == q:
+                    poly_add(tor, schur_character(label, n), (-1) ** p * mult)
+        for p in range(q + 1):
+            poly_add(koszul, poly_product(exterior_power_character(system, p),
+                                          quotient_character(spec, system, q - p)),
+                     (-1) ** p)
+        assert tor == koszul, (spec, q)
 
 
 def test_differential_squares_to_zero():
