@@ -42,9 +42,10 @@ Initial data: a vector of "admissible" weight (every coordinate 0 or 1) is
 supported on squarefree monomials with all indices distinct, i.e. on
 matchings of its support; its initial matching is the largest support
 matching in the total order of :mod:`tca_lab.matchings`.  The initial set
-of an ideal collects the leading matchings of every admissible slice: those
-on an s-element support are the pivots on {1..s}, moved by the
-order-preserving label map (:func:`initial_set` says why this is exact).
+of an ideal collects the leading matchings of every admissible slice: the
+slice on {1..s} is echelonized once, under that order, and its pivots are
+moved onto each s-element support by the order-preserving label map
+(:func:`initial_set` says why this is exact).
 The degree_one system reads the same data one degree down, on colored sets
 ordered by :func:`tca_lab.matchings.colored_key`.
 """
@@ -745,9 +746,10 @@ class EquivariantIdeal:
 
     # -- graded pieces ------------------------------------------------------
 
-    def component_span(self, d, w):
-        """Echelonized degree-d, weight-w slice of the ideal."""
-        span = Span()
+    def component_span(self, d, w, key=None):
+        """Echelonized degree-d, weight-w slice of the ideal; ``key`` orders
+        the monomials of the slice, as in :class:`Span`."""
+        span = Span(key=key)
         for e in self.gen_degrees():
             rem = d - e
             if rem < 0:
@@ -794,59 +796,53 @@ def indicator_weight(n, support):
     return tuple(w)
 
 
-def vector_to_matching_coords(vec):
-    return {matching(m): c for m, c in vec.items()}
-
-
-def colored_coords(vec):
-    out = {}
-    for m, c in vec.items():
-        elems = tuple((i, "R" if col == 0 else "B") for col, i in m)
-        out[colored_set(elems)] = c
-    return out
-
-
 def _initial_data(flavor):
-    """How a flavor reads its initial data: (coordinates of a vector, total
-    order on them, moves within a label bound, image under a label map).
+    """How a flavor reads its initial data: (the matching or colored set of
+    an admissible monomial, total order on them, moves within a label bound,
+    image under a label map).
 
-    Matchings for the two matrix flavors, colored sets for ``degree_one``.
-    Built on every call, so the move functions are looked up when the code
-    runs rather than frozen at import.
+    An admissible monomial of a matrix flavor already is an edge list; a
+    degree_one monomial is a set of colored labels.  Built on every call, so
+    the move functions are looked up when the code runs rather than frozen
+    at import.
     """
     if flavor == "degree_one":
-        return (colored_coords, colored_key, degree_one_moves,
+        return (lambda m: colored_set((i, "RB"[c]) for c, i in m),
+                colored_key, degree_one_moves,
                 lambda s, f: colored_set((f[e], c) for e, c in s))
     if flavor not in MATCHING_FLAVORS:
         raise ValueError("initial data need a symmetric, antisymmetric "
                          "or degree_one system")
-    return (vector_to_matching_coords, matching_key,
+    return (matching, matching_key,
             lambda g, bound: type1_moves(g, bound) + type2_moves(g), relabel)
 
 
 def initial_set(ideal, degree_bound, support_bound):
     """All initial matchings (or colored sets) of admissible vectors within
-    the bounds; a support bound above the rank raises ValueError.
+    the bounds, in order; a support bound above the rank raises ValueError.
 
-    One echelon pass per support size s yields the pivots on {1..s}.  A
-    label permutation extending the order-preserving f: {1..s} -> S lies in
-    GL_n and carries that slice onto the one on S up to signs; the order
-    compares labels only by their order, so the pivots on S are their images.
+    One echelon pass per support size s, under the order on matchings (or
+    colored sets), yields the pivots on {1..s}.  A label permutation
+    extending the order-preserving f: {1..s} -> S lies in GL_n and carries
+    that slice onto the one on S up to signs; the order compares labels
+    only by their order, so the pivots on S are their images.
     """
     system = ideal.system
-    coords, key, _, relabel_by = _initial_data(system.flavor)
+    element, key, _, relabel_by = _initial_data(system.flavor)
     if support_bound > system.rank:
         raise ValueError(f"support bound {support_bound} > rank {system.rank}")
     unit = system.unit
     out = []
     for size in range(unit, min(unit * degree_bound, support_bound) + 1, unit):
-        span = Span(key=key)
-        w = indicator_weight(system.rank, range(1, size + 1))
-        for v in ideal.component_span(size // unit, w).vectors():
-            span.add(coords(v))
+        d, w = size // unit, indicator_weight(system.rank, range(1, size + 1))
+        # Ranks, not `key`: the elimination compares monomials many times.
+        order = {m: i for i, m in enumerate(sorted(
+            monomials_of_weight(system, d, w), key=lambda m: key(element(m))))}
+        span = ideal.component_span(d, w, key=order.__getitem__)
+        pivots = [element(m) for m in span.rows]
         for support in combinations(range(1, support_bound + 1), size):
             f = dict(enumerate(support, 1))
-            out.extend(relabel_by(g, f) for g in span.rows)
+            out.extend(relabel_by(g, f) for g in pivots)
     return tuple(sorted(out, key=key))
 
 
@@ -865,11 +861,12 @@ class MoveClosureReport:
 def verify_move_closure(ideal, degree_bound, support_bound):
     """Check that the initial set is stable under every move that stays
     within the bounds; violations are returned, not raised."""
-    _, key, moves, _ = _initial_data(ideal.system.flavor)
-    inset = set(initial_set(ideal, degree_bound, support_bound))
+    moves = _initial_data(ideal.system.flavor)[2]
+    initial = initial_set(ideal, degree_bound, support_bound)
+    inset = set(initial)
     moves_checked = 0
     violations = []
-    for g in sorted(inset, key=key):
+    for g in initial:
         for mv, img in moves(g, support_bound):
             if len(img) > degree_bound:
                 continue

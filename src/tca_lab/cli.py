@@ -138,7 +138,7 @@ def _poset_verify(rep, args):
                 rep.line(f"member {a} does NOT reach member {b}")
     rep.check("family-swap-comparable", comparable, "witnesses replayed")
     for n in ns:
-        chain = matchings.family_rotation_chain(n)
+        chain = matchings.family_rotation_chain(n, budget)
         good = sum(1 for (_, _, _, mv) in chain["steps"] if mv is not None)
         bad = [i for (i, _, _, mv) in chain["steps"] if mv is None]
         final_ok = chain["final_step"][2] is not None

@@ -381,7 +381,7 @@ def _rotation(i):
     return perm
 
 
-def family_rotation_chain(n):
+def family_rotation_chain(n, budget=None):
     """Replay the stepwise swap-move chain between rotated copies of
     ``gamma_family(n)``.
 
@@ -389,7 +389,7 @@ def family_rotation_chain(n):
     (move is None when the target is not one swap away — reported, never
     assumed), the final transposition step that swaps the top two labels,
     and whether the end matching grows into ``gamma_family(n+1)`` using
-    growth moves alone.
+    growth moves alone, decided by :func:`leq_type1` under ``budget``.
     """
     g = gamma_family(n)
     top = 2 * n
@@ -402,7 +402,7 @@ def family_rotation_chain(n):
     last = relabel(g, _rotation(top - 3))
     final = relabel(last, {top - 1: top, top: top - 1})
     final_move = next((mv for mv, img in type2_moves(last) if img == final), None)
-    grows = leq_type1(final, gamma_family(n + 1))
+    grows = leq_type1(final, gamma_family(n + 1), budget)
     return {
         "family_index": n,
         "steps": steps,

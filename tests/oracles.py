@@ -211,14 +211,14 @@ def admissible_component(ideal, support):
     """Squarefree slice of an equivariant ideal at the indicator weight of
     ``support``, in matching (or colored-set) coordinates; computed
     weight-first so only the one needed weight space is ever assembled."""
-    coords = _initial_data(ideal.system.flavor)[0]
+    element = _initial_data(ideal.system.flavor)[0]
     unit = ideal.system.unit
     support = tuple(sorted(set(support)))
     if len(support) % unit:
         return []
     w = indicator_weight(ideal.system.rank, support)
     span = ideal.component_span(len(support) // unit, w)
-    return [coords(v) for v in span.vectors()]
+    return [{element(m): c for m, c in v.items()} for v in span.vectors()]
 
 
 def initial_set_by_support(ideal, degree_bound, support_bound):

@@ -24,6 +24,7 @@ from tca_lab.algebra import (
     decompose_algebra,
     highest_weight_vector,
     ideal_contains_isotypic,
+    indicator_weight,
     initial_set,
     lie_act,
     lowerings_from,
@@ -31,7 +32,6 @@ from tca_lab.algebra import (
     poly_add,
     rep_closure,
     term,
-    vector_to_matching_coords,
     verify_move_closure,
     weight_split,
     weight_splits,
@@ -538,6 +538,35 @@ def test_initial_set_relabels_the_support_by_support_oracle():
     assert count == 54
 
 
+def test_initial_set_eliminates_each_admissible_slice_once(monkeypatch):
+    """``initial_set`` adds to a span exactly what ``component_span`` adds
+    at the indicator weight of {1..s}, summed over support sizes s: the
+    slice is echelonized once, with no second pass over its rows."""
+    calls = []
+    add = algebra.Span.add
+    monkeypatch.setattr(algebra.Span, "add",
+                        lambda self, vec: calls.append(1) or add(self, vec))
+
+    def counted(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    cross = ((1, [(1, 2), (3, 4)]), (-1, [(1, 3), (2, 4)]))
+    matrix = [VariableSystem(flavor, 6) for flavor in MATCHING_FLAVORS]
+    cases = [(system, sym_poly(system, *cross), 3) for system in matrix]
+    cases.append((VariableSystem("degree_one", 5), red(1), 2))
+    for system, gen, degree in cases:
+        ideal = EquivariantIdeal.from_generators(system, [gen])
+        unit, rank = system.unit, system.rank
+        slices = sum(
+            counted(lambda: ideal.component_span(
+                size // unit, indicator_weight(rank, range(1, size + 1))))
+            for size in range(unit, unit * degree + 1, unit))
+        assert slices > 0
+        assert counted(lambda: initial_set(ideal, degree, rank)) == slices
+
+
 def tableaux(shape):
     """Number of standard Young tableaux of ``shape``, by hook lengths."""
     cols = transpose(shape)
@@ -578,7 +607,7 @@ def test_initial_matching_fixtures():
         matching([(1, 2)])
     # nested minus crossing: the crossing picture leads
     vec = sym_poly(SYM4, (1, [(1, 4), (2, 3)]), (-1, [(1, 3), (2, 4)]))
-    assert initial_matching(vector_to_matching_coords(vec)) == \
+    assert initial_matching({matching(m): c for m, c in vec.items()}) == \
         matching([(1, 3), (2, 4)])
     gamma = matching([(1, 4), (2, 5), (3, 6)])
     assert initial_matching({gamma: Fraction(3, 7)}) == gamma

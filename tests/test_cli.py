@@ -419,6 +419,16 @@ def test_cli_budget_and_env(capsys):
     assert "check search-budget: INCONCLUSIVE" in out
 
 
+def test_cli_budget_reaches_the_rotation_replay(capsys):
+    """One family member makes no pairwise comparison, so only the
+    rotation replay's growth test can spend the budget."""
+    code, out, _ = run(capsys, "poset", "verify-example", "--nrange", "3",
+                       "--budget", "0")
+    assert code == 3
+    assert "check search-budget: INCONCLUSIVE" in out
+    assert "rotation replay" not in out
+
+
 # the flags an action does not read, and positionals it does not take
 @pytest.mark.parametrize("argv", [
     ("poset", "verify-example", "--rank", "3"),

@@ -1,9 +1,15 @@
 """Property tests where the exhaustive tests stop: the enumeration at ranks
-past its whole-universe checks, the text parsers on random input, and the
-text round trips.  ``conftest.py`` makes every draw reproducible."""
+past its whole-universe checks, the text parsers on random input, the text
+round trips, and the command line on random argument lists.
+``conftest.py`` makes every draw reproducible."""
+
+import contextlib
+import io
+import time
 
 from hypothesis import given, settings, strategies as st
 
+from tca_lab import cli
 from tca_lab.algebra import (FLAVORS, MATRIX_FLAVORS, VariableSystem,
                              monomials_of_weight, poly_add, term)
 from tca_lab.errors import ParseError
@@ -11,6 +17,7 @@ from tca_lab.ideal_io import format_poly, parse_ideal_text, parse_matching
 from tca_lab.matchings import fmt_matching, matching
 
 from test_algebra import oracle_monomials_of_weight
+from test_cli import action_parsers
 
 # Ranks past ENUMERATION_UNIVERSES in test_algebra.py.
 LARGE_SYSTEMS = [VariableSystem(flavor, rank) for flavor, rank in (
@@ -90,13 +97,16 @@ def matrix_ideals(draw):
     return system, gens
 
 
+def ideal_file_text(ideal):
+    system, gens = ideal
+    return f"flavor: {system.flavor}\nrank: {system.rank}\n" + "".join(
+        format_poly(g) + "\n" for g in gens)
+
+
 @settings(max_examples=150, deadline=None)
 @given(matrix_ideals())
 def test_ideal_file_round_trips_through_format_poly(ideal):
-    system, gens = ideal
-    text = f"flavor: {system.flavor}\nrank: {system.rank}\n" + "".join(
-        format_poly(g) + "\n" for g in gens)
-    assert parse_ideal_text(text) == (system, gens)
+    assert parse_ideal_text(ideal_file_text(ideal)) == ideal
 
 
 @settings(max_examples=150, deadline=None)
@@ -104,3 +114,89 @@ def test_ideal_file_round_trips_through_format_poly(ideal):
 def test_matching_text_round_trips(labels):
     g = matching(zip(labels[::2], labels[1::2]))
     assert parse_matching(fmt_matching(g)) == g
+
+
+def numbers(low, high):
+    """Integers from ``low - 1`` to ``high`` as text, and text that is no
+    integer."""
+    return st.sampled_from([*map(str, range(low - 1, high + 1)), "", "x", "1.5"])
+
+
+nranges = st.one_of(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)).map("{0[0]}..{0[1]}".format),
+    st.lists(st.integers(0, 4), min_size=1, max_size=3).map(
+        lambda ns: ",".join(map(str, ns))),
+    st.sampled_from(["", "x", "2..", "..3"]))
+small_matchings = st.lists(st.integers(1, 6), unique=True, max_size=6).map(
+    lambda labels: fmt_matching(matching(zip(labels[::2], labels[1::2]))))
+# Paths are placeholders, resolved under the test's folder: ("ideal", text)
+# is a file holding ``text``, "MISSING" a file that is not there, "FOLDER"
+# the folder itself (an --output that cannot be written).
+ARGUMENT_VALUES = {
+    "flavor": st.sampled_from([*MATRIX_FLAVORS, "degree_one", "bogus"]),
+    "rank": numbers(0, 4),
+    "degree": numbers(0, 3),
+    "pmax": numbers(0, 3),
+    "nrange": nranges,
+    "budget": numbers(0, 100),
+    "seed": numbers(0, 3),
+    "input": st.one_of(
+        st.tuples(st.just("ideal"), st.one_of(
+            matrix_ideals().map(ideal_file_text), ideal_texts)),
+        st.just("MISSING")),
+    "output": st.sampled_from(["report.txt", "FOLDER"]),
+    "a": st.one_of(small_matchings, matching_texts),
+    "b": st.one_of(small_matchings, matching_texts),
+    "order": st.sampled_from(["type1", "full", "both"]),
+}
+CLI_ACTIONS = [(prefix, parser)
+               for prefix, parser in action_parsers(cli.build_parser())
+               if prefix != ("accept",)]
+
+
+@st.composite
+def cli_argvs(draw):
+    """An action, most of its positionals, and up to four flags drawn from
+    the action's own and from ``cli.FLAGS``, each with a valid or invalid
+    value."""
+    prefix, parser = draw(st.sampled_from(CLI_ACTIONS))
+    argv = list(prefix)
+    flags = set(cli.FLAGS)
+    for action in parser._actions:
+        if action.option_strings:
+            flags.add(action.dest)
+        elif draw(st.sampled_from((True, True, True, False))):
+            argv.append(draw(ARGUMENT_VALUES[action.dest]))
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=4)):
+        argv.append("--" + flag)
+        if flag != "help":
+            argv.append(draw(ARGUMENT_VALUES[flag]))
+    return argv
+
+
+def test_cli_exits_cleanly_on_any_argument_list(tmp_path):
+    """Every draw ends within seconds with an exit code of 0, 2, 3 or 4 and
+    no traceback, whether its arguments are valid or not."""
+
+    def resolve(arg, i):
+        if isinstance(arg, tuple):
+            path = tmp_path / f"input{i}.ideal"
+            path.write_text(arg[1], encoding="utf-8")
+            arg = path
+        elif arg in ("MISSING", "FOLDER", "report.txt"):
+            arg = tmp_path / {"FOLDER": ""}.get(arg, arg)
+        return str(arg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cli_argvs())
+    def run(argv):
+        argv = [resolve(arg, i) for i, arg in enumerate(argv)]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert time.perf_counter() - start < 5, argv
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
+
+    run()

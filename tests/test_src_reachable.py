@@ -1,8 +1,10 @@
 """Every module-level function, class and constant in ``src/tca_lab``, and
 every method of such a class, is read somewhere in ``src/`` outside its own
 definition, or in ``demos/`` or ``perfbench/``.  Reference implementations that only tests call belong in
-``tests/oracles.py``.  A string equal to the name counts as a read, because
-``perfbench/tracer.py`` binds names that way; an import alone does not.
+``tests/oracles.py``, and each public function and class there is read in
+some ``tests/test_*.py``.  A string equal to the name counts as a read,
+because ``perfbench/tracer.py`` binds names that way; an import alone does
+not.
 """
 
 import ast
@@ -70,3 +72,17 @@ def test_every_module_level_name_is_read_outside_the_tests():
 
 def test_every_method_is_read_outside_the_tests():
     assert unread_names(methods) == []
+
+
+def unused_oracles(oracles, tests):
+    """Public module-level functions and classes of the ``oracles`` tree
+    that no tree in ``tests`` reads."""
+    total = sum(map(reads, tests), Counter())
+    return [name for _, name, node in definitions(oracles)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not name.startswith("_") and not total[name]]
+
+
+def test_every_oracle_is_read_by_a_test():
+    tests = [parse(path) for path in sorted((ROOT / "tests").glob("test_*.py"))]
+    assert unused_oracles(parse(ROOT / "tests" / "oracles.py"), tests) == []
