@@ -15,7 +15,8 @@ class NegativeMultiplicityError(TcaLabError):
 
 
 class SearchBudgetExceededError(TcaLabError):
-    """A bounded search visited more states than its budget allows.
+    """A bounded search examined more candidate injections plus expanded
+    states than its budget allows.
 
     Deliberately distinct from a definitive negative answer: the caller may
     retry with a larger budget.
@@ -23,7 +24,8 @@ class SearchBudgetExceededError(TcaLabError):
 
     def __init__(self, budget, message=None):
         self.budget = budget
-        super().__init__(message or f"search budget of {budget} states exhausted")
+        super().__init__(message or f"search budget of {budget} candidate "
+                         "injections plus expanded states exhausted")
 
 
 class IndexTooSmallError(TcaLabError):

@@ -25,19 +25,22 @@ maps every edge of ``a`` onto an edge of S.  Conversely such an ``f`` is a
 witness: shift the labels of ``a`` up to their images from the largest
 down (the labels above are already in place, so each path is free), then
 add the edges of ``b`` outside S.  ``leq_type1`` scans these subsets in a
-fixed order.  ``leq_full`` tries the same injection first and only then
-runs an exact breadth-first search with both families: growth moves never
-decrease the edge count, the label sum, or the largest label, and swap
-moves preserve all three, so the state space below a fixed target is
-finite and the search is complete.
+fixed order.  ``leq_full`` runs a breadth-first search with both families
+that tests the same injection on ``a`` and on every state it discovers,
+and stops at the first state S that passes: ``a <= S`` by the path found
+and ``S <= b`` by growth moves.  ``b`` itself passes, so the search is
+complete.  Every move raises ``matching_key`` and none lowers the label
+sum, so states above ``b`` in either are dropped and the search space is
+finite.
 
 Between k-edge matchings on 1..n, ``universe_order`` reads either order
 off the moves in one scan, and ``max_antichain`` its width with a chain
 cover as the certificate.
 
 A ``budget`` caps the search work examined by one decision: each candidate
-subset and each expanded breadth-first state spends one unit, and running
-out raises :class:`SearchBudgetExceededError` rather than answering.
+subset, on any state, and each expanded breadth-first state spends one
+unit, and running out raises :class:`SearchBudgetExceededError` rather
+than answering.
 
 The total comparison ``matching_key`` orders matchings by edge count first
 (more edges = larger), then by comparing the sorted edge sequences from the
@@ -256,11 +259,10 @@ def _spend(spent, budget):
     return spent
 
 
-def _growth_injection(a, b, budget):
+def _growth_injection(a, b, budget, spent=0):
     """The injection ``f`` of a's labels into b's deciding ``a <= b`` under
-    growth moves (None if there is none), and the budget it spent."""
+    growth moves (None if there is none), and the budget spent so far."""
     labels = sorted(vertices(a))
-    spent = 0
     for sub in combinations(b, len(a)):
         spent = _spend(spent, budget)
         images = sorted(v for e in sub for v in e)
@@ -288,39 +290,35 @@ def _growth_witness(a, b, f):
     return moves
 
 
-def _bfs_reach(a, b, budget, spent, want_witness):
-    """Breadth-first search with growth and swap moves, continuing a budget
-    of which ``spent`` units are already used."""
-    nb = len(b)
-    maxb = max_vertex(b)
-    sumb = label_sum(b)
-    visited = {a}
-    parent = {a: None} if want_witness else None
+def _bfs_reach(a, b, budget):
+    """Moves from ``a`` to ``b`` under both families, or None if there are
+    none: a breadth-first search that drops states above ``b`` in
+    ``matching_key`` or label sum and stops at the first state, ``a``
+    first, that the growth injection already puts below ``b``."""
+    maxb, sumb, keyb = max_vertex(b), label_sum(b), matching_key(b)
+    f, spent = _growth_injection(a, b, budget)
+    parent = {a: None}
     queue = deque([a])
-    while queue:
-        state = queue.popleft()
+    state = a
+    while f is None and queue:
+        src = queue.popleft()
         spent = _spend(spent, budget)
-        moves = type1_moves(state, maxb) + type2_moves(state)
-        for mv, nxt in moves:
-            if nxt in visited:
+        for mv, state in type1_moves(src, maxb) + type2_moves(src):
+            if (state in parent or label_sum(state) > sumb
+                    or matching_key(state) > keyb):
                 continue
-            if len(nxt) > nb or label_sum(nxt) > sumb:
-                continue
-            if want_witness:
-                parent[nxt] = (state, mv)
-            if nxt == b:
-                if not want_witness:
-                    return True, None
-                path = []
-                cur = nxt
-                while parent[cur] is not None:
-                    prev, mv2 = parent[cur]
-                    path.append(mv2)
-                    cur = prev
-                return True, list(reversed(path))
-            visited.add(nxt)
-            queue.append(nxt)
-    return False, None
+            parent[state] = (src, mv)
+            f, spent = _growth_injection(state, b, budget, spent)
+            if f is not None:
+                break
+            queue.append(state)
+    if f is None:
+        return None
+    moves = _growth_witness(state, b, f)
+    while parent[state] is not None:
+        state, mv = parent[state]
+        moves.insert(0, mv)
+    return moves
 
 
 def leq_type1(a, b, budget=None) -> bool:
@@ -335,20 +333,17 @@ def leq_type1(a, b, budget=None) -> bool:
 def leq_full(a, b, budget=None, witness=False):
     """Is ``b`` reachable from ``a`` by growth and swap moves?
 
-    With ``witness=True`` returns (verdict, move list or None); the move
-    list replays from ``a`` to ``b`` via :func:`replay`.
+    Decided by :func:`_bfs_reach`, which answers a growth-comparable pair
+    with its injection before expanding any state.  With ``witness=True``
+    returns (verdict, move list or None); the move list replays from ``a``
+    to ``b`` via :func:`replay`.  It need not be a shortest one.
     """
     a, b = matching(a), matching(b)
     if a == b or _ruled_out(a, b):
-        verdict, moves = a == b, ([] if a == b else None)
+        moves = [] if a == b else None
     else:
-        budget = DEFAULT_BUDGET if budget is None else budget
-        f, spent = _growth_injection(a, b, budget)
-        if f is not None:
-            verdict, moves = True, _growth_witness(a, b, f) if witness else None
-        else:
-            verdict, moves = _bfs_reach(a, b, budget, spent, witness)
-    return (verdict, moves) if witness else verdict
+        moves = _bfs_reach(a, b, DEFAULT_BUDGET if budget is None else budget)
+    return (moves is not None, moves) if witness else moves is not None
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,16 @@ def test_cli_poset_verify_example(capsys):
     assert "family members are defined from index 3 up" in err
 
 
+def test_cli_verify_example_reaches_member_ten(capsys):
+    """Each full-order search stops at the first state that grows into the
+    target, so members 3..10 form a replayed chain in seconds."""
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "poset", "verify-example", "--nrange", "3..10")
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert "check family-swap-comparable: PASS  [witnesses replayed]" in out
+
+
 def test_cli_poset_antichain(capsys):
     code, out, _ = run(capsys, "poset", "antichain")
     assert code == 0
@@ -416,7 +426,8 @@ def test_cli_budget_and_env(capsys):
     code, out, _ = run(capsys, "poset", "compare", "{(1,2)}", "{(2,3)}",
                        "--budget", "0")
     assert code == 3
-    assert "check search-budget: INCONCLUSIVE" in out
+    assert ("check search-budget: INCONCLUSIVE  [search budget of 0 "
+            "candidate injections plus expanded states exhausted]") in out
 
 
 def test_cli_budget_reaches_the_rotation_replay(capsys):

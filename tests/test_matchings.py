@@ -182,6 +182,24 @@ def test_gamma_family_incomparable_then_comparable():
         assert replay(gammas[a], wit) == gammas[b]
 
 
+def test_gamma_pairs_expand_few_states(monkeypatch):
+    """The search stops at the first state that grows into the target: each
+    pair of members 3..6 expands at most 5 states (one ``type2_moves`` call
+    each), where a search run until it meets member 6 expands thousands."""
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return type2_moves(g)
+
+    monkeypatch.setattr("tca_lab.matchings.type2_moves", counted)
+    for a, b in combinations(range(3, 7), 2):
+        calls.clear()
+        ok, wit = leq_full(gamma_family(a), gamma_family(b), witness=True)
+        assert ok and len(calls) <= 5, (a, b, len(calls))
+        assert replay(gamma_family(a), wit) == gamma_family(b)
+
+
 def test_rotation_chain_reports_honestly():
     """Stepwise rotation between consecutive relabelings: most steps are
     single swaps, some are not, and the report says which."""
@@ -411,6 +429,20 @@ def test_growth_witnesses_replay_on_every_comparable_pair():
                 assert ok and replay(a, wit) == b, (a, b)
 
 
+def test_witnesses_replay_on_every_pair_that_needs_swaps():
+    """All 48,392 pairs comparable only with swaps: the search stops at a
+    state that grows into the target, and its witness replays exactly."""
+    pairs = 0
+    for u, a in enumerate(UNIVERSE):
+        reach = REACH_FULL[u] & ~REACH_GROWTH[u]
+        for v, b in enumerate(UNIVERSE):
+            if reach >> v & 1:
+                ok, wit = leq_full(a, b, witness=True)
+                assert ok and replay(a, wit) == b, (a, b)
+                pairs += 1
+    assert pairs == 48392
+
+
 def oracle_apply_move(g, move):
     """The candidate search: generate every move of the kind and look the
     given one up."""
@@ -512,18 +544,31 @@ SMALL_MATCHINGS = st.lists(st.integers(1, 10), unique=True, max_size=8).map(
     lambda labels: matching(zip(labels[::2], labels[1::2])))
 
 
-@st.composite
-def walks(draw):
-    """A matching and the end of a short random walk of moves from it, so
-    that comparable pairs are common."""
-    a = g = draw(SMALL_MATCHINGS)
+def _walk(draw, g):
+    """The end of a short random walk of moves from ``g``."""
     for _ in range(draw(st.integers(0, 6))):
         options = [img for _, img in type1_moves(g, 10) + type2_moves(g)
                    if len(img) <= 4]
         if not options:
             break
         g = options[draw(st.integers(0, len(options) - 1))]
-    return a, g
+    return g
+
+
+@st.composite
+def walks(draw):
+    """A matching and the end of a short random walk of moves from it, so
+    that comparable pairs are common."""
+    a = draw(SMALL_MATCHINGS)
+    return a, _walk(draw, a)
+
+
+@st.composite
+def triples(draw):
+    """A walk a -> b, then either a walk on from b or an unrelated c."""
+    a, b = draw(walks())
+    c = _walk(draw, b) if draw(st.booleans()) else draw(SMALL_MATCHINGS)
+    return a, b, c
 
 
 def check_against_oracles(a, b):
@@ -544,6 +589,23 @@ def test_orders_agree_with_bfs_oracles_on_random_pairs(a, b):
 @given(walks())
 def test_orders_agree_with_bfs_oracles_on_random_walks(pair):
     check_against_oracles(*pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(triples())
+def test_full_order_is_transitive_on_random_triples(triple):
+    """On every ordered pair of the triple the growth order implies the full
+    order and each full-order witness replays; the full order is
+    transitive."""
+    leq = {}
+    for x, y in product(range(3), repeat=2):
+        a, b = triple[x], triple[y]
+        ok, wit = leq_full(a, b, witness=True)
+        assert ok or not leq_type1(a, b)
+        assert not ok or replay(a, wit) == b
+        leq[x, y] = ok
+    for x, y, z in product(range(3), repeat=3):
+        assert not (leq[x, y] and leq[y, z]) or leq[x, z]
 
 
 def test_growth_order_far_apart():
