@@ -16,10 +16,10 @@ searches the flat view of its weight, and one ``symmetrize_counts`` plus
 ``decompose_into_schur`` turns exponent tuples and (rows, cols) pairs alike
 into characters.
 
-Across ranks there is one loop, :func:`stabilization_report`.  It runs any
-family n -> ideal (a determinantal spec via :func:`determinantal_family`,
-an isotypic or generated ideal, ...) and reports from which rank each
-(p, q) cell stops changing.
+Across ranks there is one table.  :func:`stabilization_report` computes a
+family n -> ideal at its top rank only, reads each lower rank off it by
+dropping the labels of more rows, and marks each (p, q) cell stable from
+the first rank that holds its longest label.
 
 A strand enumerates only what fits its weight: a chain basis takes the
 p-subsets of variables from a depth-first search that stops as soon as a
@@ -59,7 +59,8 @@ from .algebra import (
     monomials_of_weight,
 )
 from .errors import NonSymmetricCharacterError, ParseError
-from .partitions import decompose_into_schur, partitions_of, symmetrize_counts
+from .partitions import (CharacterTable, _key_blocks, decompose_into_schur,
+                         partitions_of, symmetrize_counts)
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,8 @@ class DeterminantalIdealSpec:
             return (self.pfaffian_size // 2,)
         return (1,) * self.minor_size
 
-    def describe(self):
+    @property
+    def label(self):
         if self.flavor == "antisymmetric":
             cut = f"pfaffians of size {self.pfaffian_size}"
         else:
@@ -119,7 +121,7 @@ def determinantal_ideal(spec):
     ideal.
     """
     system = VariableSystem(spec.flavor, spec.rank)
-    return EquivariantIdeal.isotypic(system, spec.lam, label=spec.describe())
+    return EquivariantIdeal.isotypic(system, spec.lam, label=spec.label)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +266,6 @@ class KoszulComplex:
             hdims.append(h)
         return dims[: P + 1], ranks[: P + 2], hdims
 
-    def homology_dims(self, q, w):
-        return self.strand(q, w)[2]
-
 
 # ---------------------------------------------------------------------------
 # Character assembly.
@@ -280,13 +279,10 @@ class TorTable:
     entries: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
-    def cells(self):
-        return sorted(self.entries)
-
     def records(self):
         """Flat (p, q, label, multiplicity, rank) rows, canonically sorted."""
         out = []
-        for (p, q) in self.cells():
+        for (p, q) in sorted(self.entries):
             for lam, mult in self.entries[(p, q)].sorted_items():
                 out.append((p, q, lam, mult, self.rank))
         return out
@@ -328,7 +324,7 @@ def tor_table(source, p_max, q_max, *, sample_check_seed=None):
     for q in range(q_max + 1):
         dominant = {}
         for w in _dominant_weights(system, q):
-            hdims = complex_.homology_dims(q, w)
+            hdims = complex_.strand(q, w)[2]
             for p, h in enumerate(hdims):
                 if h:
                     dominant.setdefault(p, {})[w] = h
@@ -352,7 +348,7 @@ def _sample_symmetry_check(complex_, q, dominant, rng):
         probe = system.join(blocks)
         if probe == w:
             continue
-        got = complex_.homology_dims(q, probe)
+        got = complex_.strand(q, probe)[2]
         want = [dominant.get(p, {}).get(w, 0) for p in range(complex_.p_max + 1)]
         if got != want:
             raise NonSymmetricCharacterError(
@@ -368,7 +364,7 @@ def _sample_symmetry_check(complex_, q, dominant, rng):
 class StabilizationReport:
     p_max: int
     tables: dict
-    first_stable: dict      # (p, q) -> first n from which entries agree, or None
+    first_stable: dict      # (p, q) -> first n holding its longest label, or None
 
     @property
     def never_stabilized(self):
@@ -381,31 +377,35 @@ def determinantal_family(flavor, rank_bound):
 
 
 def stabilization_report(family, p_max, q_max, n_range):
-    """Compare Tor tables across ranks and locate stabilization points.
+    """Tor tables at each rank of ``n_range``, computed at the top rank only.
 
-    ``family`` maps a rank n to what :func:`tor_table` accepts at that rank:
-    a DeterminantalIdealSpec or an EquivariantIdeal (ideals at different
-    ranks are different objects, hence a map rather than one ideal).
-    Raises ParseError unless ``n_range`` is strictly increasing: a repeated
-    rank would confirm its own stability, a descending one read it backwards.
+    ``family`` maps a rank n to what :func:`tor_table` accepts, and must be
+    one ideal of the twisted commutative algebra evaluated at C^n.  Then
+    Tor_{p,q} is a polynomial functor evaluated at C^n (Sam-Snowden), so a
+    label λ has one multiplicity at every n >= ℓ(λ) and none below, where ℓ
+    of a (rows, cols) pair is its longer side.  Rank n keeps the top table's
+    labels of at most n rows, and takes only its ``meta`` from ``family(n)``.
+    Raises ParseError unless ``n_range`` is non-empty and strictly
+    increasing: a repeated rank would confirm its own stability.
     """
     n_range = tuple(n_range)
-    if any(a >= b for a, b in zip(n_range, n_range[1:])):
-        raise ParseError(f"ranks {n_range} must be strictly increasing")
-    tables = {n: tor_table(family(n), p_max, q_max) for n in n_range}
-    entries = {n: t.as_dict() for n, t in tables.items()}
-    cells = set()
-    for e in entries.values():
-        cells.update(e)
+    if not n_range or any(a >= b for a, b in zip(n_range, n_range[1:])):
+        raise ParseError(f"ranks {n_range} must be non-empty and strictly increasing")
+    *lower, top_n = n_range
+    top = tor_table(family(top_n), p_max, q_max)
+    rows = {lam: max(map(len, _key_blocks(lam)))
+            for char in top.entries.values() for lam in char.entries}
+    tables = {}
+    for n in lower:
+        cut = ((pq, {lam: m for lam, m in char.entries.items() if rows[lam] <= n})
+               for pq, char in top.entries.items())
+        tables[n] = TorTable(n, {pq: CharacterTable(c, n) for pq, c in cut if c},
+                             {"ideal": family(n).label or "(custom)"})
+    tables[top_n] = top
     # the top rank of a longer range has no rank above it to confirm a cell
-    candidates = n_range[:-1] if len(n_range) > 1 else n_range
     first_stable = {}
-    for pq in sorted(cells):
-        first_stable[pq] = None
-        for i, n in enumerate(candidates):
-            here = entries[n].get(pq, {})
-            if all(entries[m].get(pq, {}) == here for m in n_range[i:]):
-                first_stable[pq] = n
-                break
+    for pq in sorted(top.entries):
+        longest = max(map(rows.get, top.entries[pq].entries))
+        first_stable[pq] = next((n for n in lower or [top_n] if n >= longest), None)
     return StabilizationReport(p_max=p_max, tables=tables,
                                first_stable=first_stable)

@@ -11,9 +11,10 @@ from itertools import combinations, combinations_with_replacement
 from tca_lab.algebra import (Span, _initial_data, highest_weight_vector,
                              indicator_weight, lie_act, monomials_of_weight,
                              weight_split)
-from tca_lab.errors import TcaLabError
+from tca_lab.errors import ParseError, TcaLabError
 from tca_lab.matchings import matching_key
 from tca_lab.partitions import _schur_cached, contains, partition
+from tca_lab.torlab import StabilizationReport, tor_table
 
 
 class ZeroVectorError(TcaLabError):
@@ -240,6 +241,31 @@ def initial_set_by_support(ideal, degree_bound, support_bound):
 
 # ---------------------------------------------------------------------------
 # Tor labels across ranks.
+
+
+def stabilization_by_rank(family, p_max, q_max, n_range):
+    """The stabilization report computed rank by rank: a full Tor table at
+    every rank of ``n_range``, compared cell by cell."""
+    n_range = tuple(n_range)
+    if any(a >= b for a, b in zip(n_range, n_range[1:])):
+        raise ParseError(f"ranks {n_range} must be strictly increasing")
+    tables = {n: tor_table(family(n), p_max, q_max) for n in n_range}
+    entries = {n: t.as_dict() for n, t in tables.items()}
+    cells = set()
+    for e in entries.values():
+        cells.update(e)
+    # the top rank of a longer range has no rank above it to confirm a cell
+    candidates = n_range[:-1] if len(n_range) > 1 else n_range
+    first_stable = {}
+    for pq in sorted(cells):
+        first_stable[pq] = None
+        for i, n in enumerate(candidates):
+            here = entries[n].get(pq, {})
+            if all(entries[m].get(pq, {}) == here for m in n_range[i:]):
+                first_stable[pq] = n
+                break
+    return StabilizationReport(p_max=p_max, tables=tables,
+                               first_stable=first_stable)
 
 
 def labels_per_p(tables, p_max):

@@ -19,10 +19,10 @@ import sys
 import pytest
 
 import tca_lab
-from tca_lab import acceptance, cli
+from tca_lab import acceptance, cli, torlab
 from tca_lab.acceptance import (_closure_suite, _rerun_env, _sandbox_suite,
-                                criterion_8, run_all)
-from tca_lab.reports import FAIL, Report
+                                criterion_6, criterion_8, run_all)
+from tca_lab.reports import FAIL, PASS, Report
 
 pytestmark = pytest.mark.slow
 
@@ -121,6 +121,27 @@ def test_accept_command_runs_are_byte_identical(capsys):
     assert out_a and out_a == out_b
     assert "verdict: FAIL" in out_a
     assert "seed: 7" in out_a
+
+
+def test_criterion_6_fails_and_names_the_cell_when_rank_4_loses_a_label(
+        monkeypatch):
+    """Criterion 6 computes ranks 3 and 4 on its own, so a label missing at
+    rank 4 alone is a difference it sees, and it names that cell."""
+    assert criterion_6(Report("accept"), PINNED_SEED, None, {}) == (
+        PASS, "exact equality on 3 cells")
+    real = torlab.tor_table
+
+    def lossy(source, p_max, q_max, **kwargs):
+        table = real(source, p_max, q_max, **kwargs)
+        if table.rank == 4:
+            labels = table.entries[(1, 2)].entries
+            del labels[min(labels)]
+        return table
+
+    monkeypatch.setattr(torlab, "tor_table", lossy)
+    verdict, detail = criterion_6(Report("accept"), PINNED_SEED, None, {})
+    assert verdict == FAIL
+    assert detail == "tables differ at cells [(1, 2)]"
 
 
 def test_criterion_8_fails_when_one_initial_size_differs_from_the_rerun():

@@ -11,6 +11,7 @@ from tca_lab.algebra import (EquivariantIdeal, Span, VariableSystem,
 from tca_lab.errors import ParseError
 from tca_lab.partitions import (contains, decompose_into_schur, partitions_of,
                                 transpose)
+from tca_lab import torlab
 from tca_lab.torlab import (
     DeterminantalIdealSpec,
     KoszulComplex,
@@ -23,7 +24,7 @@ from tca_lab.torlab import (
 )
 from oracles import (all_bounded, ideal_component, ideal_contains,
                      labels_per_p, monomials_of_degree, poly_product,
-                     schur_character)
+                     schur_character, stabilization_by_rank)
 from test_algebra import oracle_weight_subtract
 
 
@@ -418,6 +419,90 @@ def test_stabilization_refuses_ranges_that_are_not_strictly_increasing(n_range):
     range would read it backwards; both are input errors (CLI exit 4)."""
     with pytest.raises(ParseError, match="strictly increasing"):
         stabilization_report(determinantal_family("generic", 1), 2, 4, n_range)
+
+
+def test_stabilization_refuses_an_empty_range():
+    with pytest.raises(ParseError, match="non-empty"):
+        stabilization_report(determinantal_family("generic", 1), 2, 4, ())
+
+
+def _isotypic(flavor, lam):
+    return lambda n: EquivariantIdeal.isotypic(VariableSystem(flavor, n), lam)
+
+
+def _generated(flavor, lam):
+    def family(n):
+        system = VariableSystem(flavor, n)
+        return EquivariantIdeal.from_generators(
+            system, [highest_weight_vector(system, lam)], label=f"gen{lam}")
+    return family
+
+
+STABILIZATION_CASES = [
+    # determinantal, clamped bounds included (rank bound above the low ranks)
+    (determinantal_family("symmetric", 1), 3, 5, (1, 2, 3)),
+    (determinantal_family("symmetric", 2), 2, 5, (1, 3)),
+    (determinantal_family("symmetric", 0), 2, 3, (2, 4)),
+    (determinantal_family("antisymmetric", 2), 2, 5, (2, 4, 5)),
+    (determinantal_family("antisymmetric", 3), 2, 4, (1, 2, 3, 4)),
+    (determinantal_family("generic", 1), 2, 4, (1, 2, 3)),
+    (determinantal_family("generic", 2), 2, 4, (2, 3)),
+    (determinantal_family("generic", 1), 2, 4, (3,)),
+    # isotypic and hwv-generated families
+    (_isotypic("symmetric", (2, 1)), 2, 4, (2, 3)),
+    (_isotypic("antisymmetric", (1,)), 2, 4, (2, 4)),
+    (_isotypic("generic", (1, 1)), 2, 3, (1, 2, 3)),
+    (_generated("symmetric", (1, 1)), 2, 3, (2, 3)),
+    (_generated("generic", (2,)), 1, 3, (1, 2)),
+    # the zero family and the degree_one orbit of x_1
+    (lambda n: EquivariantIdeal.from_generators(
+        VariableSystem("symmetric", n), [], label="zero"), 2, 2, (1, 2, 3)),
+    (lambda n: EquivariantIdeal.from_generators(
+        VariableSystem("degree_one", n), [{((0, 1),): 1}]), 3, 3, (1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("family,p_max,q_max,n_range", STABILIZATION_CASES)
+def test_stabilization_report_matches_the_rank_by_rank_oracle(
+        family, p_max, q_max, n_range):
+    """One table at the top rank, truncated, gives the report that a full
+    table at every rank gives: tables, meta and first_stable alike."""
+    got = stabilization_report(family, p_max, q_max, n_range)
+    want = stabilization_by_rank(family, p_max, q_max, n_range)
+    assert got == want
+    assert list(got.tables) == list(n_range)
+
+
+def test_stabilization_report_computes_one_table_at_the_top_rank(monkeypatch):
+    ranks = []
+    real = torlab.tor_table
+
+    def counting(source, *args, **kwargs):
+        table = real(source, *args, **kwargs)
+        ranks.append(table.rank)
+        return table
+
+    monkeypatch.setattr(torlab, "tor_table", counting)
+    stab = stabilization_report(determinantal_family("symmetric", 1),
+                                2, 4, (2, 3, 5))
+    assert ranks == [5]
+    assert sorted(stab.tables) == [2, 3, 5]
+
+
+@pytest.mark.parametrize("flavor", ["symmetric", "antisymmetric", "generic"])
+def test_determinantal_family_is_one_ideal_at_every_rank(flavor):
+    """Truncation relies on this: clamping the rank bound at rank n gives
+    the zero ideal exactly when the unclamped block vanishes there, and
+    otherwise the same block."""
+    for r in range(7):
+        lam = DeterminantalIdealSpec(flavor, r, r).lam
+        for n in range(1, 9):
+            spec = determinantal_family(flavor, r)(n)
+            vanishes = block_vanishes(VariableSystem(flavor, n), lam)
+            assert spec.is_trivial == vanishes
+            assert (determinantal_ideal(spec).gen_degrees() == []) == vanishes
+            if not vanishes:
+                assert spec.lam == lam
 
 
 def test_stabilization_koszul_case():
