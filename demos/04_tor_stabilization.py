@@ -28,11 +28,11 @@ print("\nsame ideal, rank 3 vs rank 4:")
 # each rank on its own; the report itself computes rank 4 only and reads
 # rank 3 off it by dropping the labels of more than 3 rows
 family = determinantal_family("generic", 1)
-rank3, rank4 = (tor_table(family(n), 2, 4).as_dict() for n in (3, 4))
+rank3, rank4 = (tor_table(family(n), 2, 4).entries for n in (3, 4))
 stab = stabilization_report(family, 2, 4, (3, 4))
 for pq in sorted(stab.first_stable):
     n = stab.first_stable[pq]
     state = f"stable from rank {n}" if n is not None else "not yet stable"
     print(f"  cell {pq}: {state}")
-assert rank3 == rank4 == stab.tables[3].as_dict()
+assert rank3 == rank4 == stab.tables[3].entries
 print("tables agree exactly.")

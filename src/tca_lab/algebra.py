@@ -60,8 +60,7 @@ from itertools import (accumulate, combinations, combinations_with_replacement,
                        product)
 from math import gcd, lcm
 
-from .partitions import (CharacterTable, decompose_into_schur, partitions_of,
-                         poly_add, transpose)
+from .partitions import decompose_into_schur, partitions_of, poly_add, transpose
 from .matchings import (
     colored_key,
     colored_set,
@@ -306,7 +305,7 @@ class Span:
 
     def __init__(self, key=None):
         self._key = key      # None: compare monomials themselves
-        self.rows = {}
+        self.rows = {}       # pivot monomial -> its row
 
     def _eliminate(self, vec):
         """(vec, scale): an integer vector and a positive integer whose
@@ -365,9 +364,6 @@ class Span:
     @property
     def rank(self):
         return len(self.rows)
-
-    def pivots(self):
-        return list(self.rows.keys())
 
     def vectors(self):
         return list(self.rows.values())
@@ -464,7 +460,7 @@ def monomials_of_weight(system, d, w):
     return out
 
 
-def decompose_algebra(flavor, d, n) -> CharacterTable:
+def decompose_algebra(flavor, d, n) -> dict:
     """Schur expansion of the degree-``d`` component, computed by brute
     monomial weight counting (independent of the closed product formula)."""
     system = VariableSystem(flavor, n)
@@ -472,7 +468,7 @@ def decompose_algebra(flavor, d, n) -> CharacterTable:
     return decompose_into_schur(Counter(map(system.weight, monos)), n)
 
 
-def algebra_closed_formula(flavor, d, n) -> CharacterTable:
+def algebra_closed_formula(flavor, d, n) -> dict:
     """The predicted multiplicity-free table for the degree-``d`` component:
     doubled rows, doubled columns, or diagonal pairs, indexed by partitions
     of ``d`` and truncated to shapes with at most ``n`` rows."""
@@ -491,7 +487,7 @@ def algebra_closed_formula(flavor, d, n) -> CharacterTable:
             rows = len(lam)
         if rows <= n:
             entries[key] = 1
-    return CharacterTable(entries, n)
+    return entries
 
 
 def weight_splits(system, w, d):
@@ -848,7 +844,6 @@ def initial_set(ideal, degree_bound, support_bound):
 
 @dataclass
 class MoveClosureReport:
-    label: str
     initial_size: int
     moves_checked: int
     violations: list
@@ -874,7 +869,6 @@ def verify_move_closure(ideal, degree_bound, support_bound):
             if img not in inset:
                 violations.append((g, mv, img))
     return MoveClosureReport(
-        label=ideal.label,
         initial_size=len(inset),
         moves_checked=moves_checked,
         violations=violations,

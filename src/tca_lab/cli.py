@@ -75,13 +75,14 @@ def cmd_decompose(args):
     for d in range(args.degree + 1):
         got = decompose_algebra(args.flavor, d, args.rank)
         want = algebra_closed_formula(args.flavor, d, args.rank)
-        cells = ", ".join(f"{fmt_partition(k)}:{m}" for k, m in got.sorted_items())
+        items = sorted(got.items())
+        cells = ", ".join(f"{fmt_partition(k)}:{m}" for k, m in items)
         rep.line(f"degree {d}: {cells or '(zero)'}")
         rep.record("decomposition", degree=d,
-                   table={fmt_partition(k): m for k, m in got.sorted_items()},
-                   matches_formula=(got.entries == want.entries),
-                   multiplicity_free=got.is_multiplicity_free())
-        rep.check(f"closed-formula d={d}", got.entries == want.entries)
+                   table={fmt_partition(k): m for k, m in items},
+                   matches_formula=(got == want),
+                   multiplicity_free=all(m == 1 for m in got.values()))
+        rep.check(f"closed-formula d={d}", got == want)
     return rep
 
 
@@ -326,7 +327,7 @@ def cmd_tor(args):
     stab = torlab.stabilization_report(
         torlab.determinantal_family(args.flavor, r), p_max, q_max, ns)
     for n in ns:
-        rep.line(stab.tables[n].meta["ideal"])
+        rep.line(stab.tables[n].label)
         for (p, q, lam, mult, _) in stab.tables[n].records():
             rep.line(f"  n={n} Tor_{p} internal {q}: {fmt_partition(lam)} x{mult}")
             rep.record("tor-entry", n=n, p=p, q=q,

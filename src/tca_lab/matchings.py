@@ -399,7 +399,6 @@ def family_rotation_chain(n, budget=None):
     final_move = next((mv for mv, img in type2_moves(last) if img == final), None)
     grows = leq_type1(final, gamma_family(n + 1), budget)
     return {
-        "family_index": n,
         "steps": steps,
         "final_step": (last, final, final_move),
         "grows_into_next": grows,

@@ -14,6 +14,8 @@ then the products s_lam(x) * s_mu(y).
 Expansion into the Schur basis repeatedly subtracts the Schur polynomial of
 the lexicographically leading exponent of top degree; Schur polynomials are
 unitriangular against monomials (Kostka matrix), so the loop terminates.
+The result is a plain dict label -> multiplicity, the one form every layer
+uses for a character.
 
 Nothing here knows a flavor: the degree pieces of the algebras and their
 closed formulas live in :mod:`tca_lab.algebra`.
@@ -21,7 +23,6 @@ closed formulas live in :mod:`tca_lab.algebra`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
@@ -220,30 +221,7 @@ def _check_symmetric(p, n):
 
 
 # ---------------------------------------------------------------------------
-# Character tables and Schur-basis expansion.
-
-
-@dataclass
-class CharacterTable:
-    """Multiset of irreducibles: partition (or partition pair) -> multiplicity."""
-
-    entries: dict
-    rank: int
-
-    def is_multiplicity_free(self) -> bool:
-        return all(v == 1 for v in self.entries.values())
-
-    def sorted_items(self):
-        return sorted(self.entries.items())
-
-    def total_dim(self) -> int:
-        total = 0
-        for key, mult in self.entries.items():
-            d = 1
-            for lam in _key_blocks(key):
-                d *= hook_content_dim(lam, self.rank)
-            total += mult * d
-        return total
+# Schur-basis expansion.
 
 
 def _as_exact(c):
@@ -256,8 +234,9 @@ def _as_plain(c):
     return c
 
 
-def decompose_into_schur(p, n) -> CharacterTable:
-    """Expand a symmetric polynomial in the Schur basis.
+def decompose_into_schur(p, n) -> dict:
+    """Expand a symmetric polynomial in the Schur basis: the character as
+    a dict label -> multiplicity.
 
     Keys are exponent tuples, or (row exponent, col exponent) pairs
     expanded in the products s_lam(x) * s_mu(y).  Raises ValueError
@@ -300,12 +279,13 @@ def decompose_into_schur(p, n) -> CharacterTable:
                 raise NegativeMultiplicityError(f"multiplicity {coeff} at {label}")
             entries[label] = _as_plain(coeff)
             poly_add(work, _schur_of_blocks(parts, n), -coeff)
-    return CharacterTable(entries, n)
+    return entries
 
 
-def decompose_pair_into_schur(p, n) -> CharacterTable:
-    """:func:`decompose_into_schur` of a character with (row exponent, col
-    exponent) keys, named for the callers that only have pairs."""
+def decompose_pair_into_schur(p, n) -> dict:
+    """:func:`decompose_into_schur` under a second name, kept only because
+    ``perfbench/tracer.py`` binds it by name; the benchmark change of
+    ROADMAP item 1 deletes it."""
     return decompose_into_schur(p, n)
 
 

@@ -46,7 +46,7 @@ r+1 for odd r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from random import Random
 
@@ -59,8 +59,8 @@ from .algebra import (
     monomials_of_weight,
 )
 from .errors import NonSymmetricCharacterError, ParseError
-from .partitions import (CharacterTable, _key_blocks, decompose_into_schur,
-                         partitions_of, symmetrize_counts)
+from .partitions import (_key_blocks, decompose_into_schur, partitions_of,
+                         symmetrize_counts)
 
 
 @dataclass(frozen=True)
@@ -152,9 +152,8 @@ class KoszulComplex:
         cached = self._quotient_cache.get(key)
         if cached is None:
             span = self.ideal.component_span(d, w)
-            pivots = set(span.pivots())
             monos = [m for m in monomials_of_weight(self.system, d, w)
-                     if m not in pivots]
+                     if m not in span.rows]
             cached = (tuple(monos), span)
             self._quotient_cache[key] = cached
         return cached
@@ -273,25 +272,21 @@ class KoszulComplex:
 
 @dataclass
 class TorTable:
-    """(p, q) -> character decomposition, at a fixed rank."""
+    """Tor of A/I at a fixed rank: ``entries`` maps each nonzero cell
+    (p, q) to its character, a dict label -> multiplicity, and ``label``
+    names the ideal (``"(custom)"`` for an unnamed one)."""
 
     rank: int
-    entries: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    entries: dict
+    label: str
 
     def records(self):
         """Flat (p, q, label, multiplicity, rank) rows, canonically sorted."""
         out = []
         for (p, q) in sorted(self.entries):
-            for lam, mult in self.entries[(p, q)].sorted_items():
+            for lam, mult in sorted(self.entries[(p, q)].items()):
                 out.append((p, q, lam, mult, self.rank))
         return out
-
-    def as_dict(self):
-        return {
-            (p, q): dict(tab.entries)
-            for (p, q), tab in self.entries.items()
-        }
 
 
 def _dominant_weights(system, q):
@@ -316,7 +311,6 @@ def tor_table(source, p_max, q_max, *, sample_check_seed=None):
     """
     ideal = (determinantal_ideal(source)
              if isinstance(source, DeterminantalIdealSpec) else source)
-    meta = {"ideal": ideal.label or "(custom)"}
     system = ideal.system
     complex_ = KoszulComplex(ideal, p_max)
     rng = Random(sample_check_seed) if sample_check_seed is not None else None
@@ -333,7 +327,7 @@ def tor_table(source, p_max, q_max, *, sample_check_seed=None):
         for p, dom in dominant.items():
             counts = symmetrize_counts(dom, system.rank)
             per_pq[(p, q)] = decompose_into_schur(counts, system.rank)
-    return TorTable(rank=system.rank, entries=per_pq, meta=meta)
+    return TorTable(system.rank, per_pq, ideal.label or "(custom)")
 
 
 def _sample_symmetry_check(complex_, q, dominant, rng):
@@ -362,7 +356,6 @@ def _sample_symmetry_check(complex_, q, dominant, rng):
 
 @dataclass
 class StabilizationReport:
-    p_max: int
     tables: dict
     first_stable: dict      # (p, q) -> first n holding its longest label, or None
 
@@ -384,7 +377,8 @@ def stabilization_report(family, p_max, q_max, n_range):
     Tor_{p,q} is a polynomial functor evaluated at C^n (Sam-Snowden), so a
     label λ has one multiplicity at every n >= ℓ(λ) and none below, where ℓ
     of a (rows, cols) pair is its longer side.  Rank n keeps the top table's
-    labels of at most n rows, and takes only its ``meta`` from ``family(n)``.
+    labels of at most n rows, and takes only its ``label`` from
+    ``family(n)``: the name of the ideal at that rank.
     Raises ParseError unless ``n_range`` is non-empty and strictly
     increasing: a repeated rank would confirm its own stability.
     """
@@ -394,18 +388,17 @@ def stabilization_report(family, p_max, q_max, n_range):
     *lower, top_n = n_range
     top = tor_table(family(top_n), p_max, q_max)
     rows = {lam: max(map(len, _key_blocks(lam)))
-            for char in top.entries.values() for lam in char.entries}
+            for char in top.entries.values() for lam in char}
     tables = {}
     for n in lower:
-        cut = ((pq, {lam: m for lam, m in char.entries.items() if rows[lam] <= n})
+        cut = ((pq, {lam: m for lam, m in char.items() if rows[lam] <= n})
                for pq, char in top.entries.items())
-        tables[n] = TorTable(n, {pq: CharacterTable(c, n) for pq, c in cut if c},
-                             {"ideal": family(n).label or "(custom)"})
+        tables[n] = TorTable(n, {pq: c for pq, c in cut if c},
+                             family(n).label or "(custom)")
     tables[top_n] = top
     # the top rank of a longer range has no rank above it to confirm a cell
     first_stable = {}
     for pq in sorted(top.entries):
-        longest = max(map(rows.get, top.entries[pq].entries))
+        longest = max(map(rows.get, top.entries[pq]))
         first_stable[pq] = next((n for n in lower or [top_n] if n >= longest), None)
-    return StabilizationReport(p_max=p_max, tables=tables,
-                               first_stable=first_stable)
+    return StabilizationReport(tables=tables, first_stable=first_stable)

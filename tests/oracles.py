@@ -7,6 +7,7 @@ rule, what the package computes another way.
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import prod
 
 from tca_lab.algebra import (Span, _initial_data, highest_weight_vector,
                              indicator_weight, lie_act, monomials_of_weight,
@@ -235,7 +236,7 @@ def initial_set_by_support(ideal, degree_bound, support_bound):
             span = Span(key=key)
             for v in admissible_component(ideal, support):
                 span.add(v)
-            out.update(span.pivots())
+            out.update(span.rows)
     return tuple(sorted(out, key=key))
 
 
@@ -250,7 +251,7 @@ def stabilization_by_rank(family, p_max, q_max, n_range):
     if any(a >= b for a, b in zip(n_range, n_range[1:])):
         raise ParseError(f"ranks {n_range} must be strictly increasing")
     tables = {n: tor_table(family(n), p_max, q_max) for n in n_range}
-    entries = {n: t.as_dict() for n, t in tables.items()}
+    entries = {n: t.entries for n, t in tables.items()}
     cells = set()
     for e in entries.values():
         cells.update(e)
@@ -264,8 +265,7 @@ def stabilization_by_rank(family, p_max, q_max, n_range):
             if all(entries[m].get(pq, {}) == here for m in n_range[i:]):
                 first_stable[pq] = n
                 break
-    return StabilizationReport(p_max=p_max, tables=tables,
-                               first_stable=first_stable)
+    return StabilizationReport(tables=tables, first_stable=first_stable)
 
 
 def labels_per_p(tables, p_max):
@@ -273,7 +273,7 @@ def labels_per_p(tables, p_max):
     the tables of a stabilization report."""
     out = {p: {} for p in range(p_max + 1)}
     for n, table in tables.items():
-        cells = table.as_dict()
+        cells = table.entries
         for p, per_n in out.items():
             per_n[n] = tuple(sorted({lam for (pp, _), tab in cells.items()
                                      if pp == p for lam in tab}))
@@ -299,6 +299,16 @@ def schur_character(lam, n) -> dict:
 def schur_dim(lam, n) -> int:
     """Tableau-count dimension; cross-checkable against hook_content_dim."""
     return sum(_schur_cached(partition(lam), n).values())
+
+
+def character_dim(char, n) -> int:
+    """Dimension of a character {label: multiplicity} at rank n, by tableau
+    counts; a (rows, cols) label is the tensor product of its two blocks."""
+    total = 0
+    for label, mult in char.items():
+        blocks = label if label and isinstance(label[0], tuple) else (label,)
+        total += mult * prod(schur_dim(lam, n) for lam in blocks)
+    return total
 
 
 def poly_product(p, q):

@@ -134,7 +134,7 @@ def test_criterion_6_fails_and_names_the_cell_when_rank_4_loses_a_label(
     def lossy(source, p_max, q_max, **kwargs):
         table = real(source, p_max, q_max, **kwargs)
         if table.rank == 4:
-            labels = table.entries[(1, 2)].entries
+            labels = table.entries[(1, 2)]
             del labels[min(labels)]
         return table
 

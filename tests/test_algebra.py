@@ -42,9 +42,9 @@ from tca_lab.partitions import (contains, partitions_of, partitions_upto,
 
 from oracles import (ZeroVectorError, admissible_component, branchy_lie_act,
                      branchy_variables, branchy_weight, hw_weight,
-                     ideal_component, ideal_contains, initial_matching,
-                     initial_set_by_support, monomials_of_degree,
-                     raising_kernel)
+                     character_dim, ideal_component, ideal_contains,
+                     initial_matching, initial_set_by_support,
+                     monomials_of_degree, raising_kernel)
 
 SYM2 = VariableSystem("symmetric", 2)
 SYM4 = VariableSystem("symmetric", 4)
@@ -448,7 +448,7 @@ def test_component_dims_match_decomposition():
         ideal = EquivariantIdeal.isotypic(system, (1,))
         for d in (1, 2, 3):
             assert len(ideal_component(ideal, d)) == \
-                decompose_algebra(flavor, d, 3).total_dim()
+                character_dim(decompose_algebra(flavor, d, 3), 3)
 
 
 def test_containment_lattice_small():
@@ -641,11 +641,10 @@ def test_move_closure_zero_violation_examples():
     i1 = EquivariantIdeal.isotypic(SYM4, (1,))
     res = verify_move_closure(i1, 2, 4)
     assert res.initial_size == 9 and res.violations == []
-    orbit = EquivariantIdeal.from_generators(SYM4, [det_corner(SYM4)],
-                                             label="corner-orbit")
+    orbit = EquivariantIdeal.from_generators(SYM4, [det_corner(SYM4)])
     res = verify_move_closure(orbit, 3, 4)
     assert (res.initial_size, res.moves_checked, res.violations) == (2, 1, [])
-    assert res.closed and res.label == "corner-orbit"
+    assert res.closed
     zero = EquivariantIdeal.from_generators(SYM4, [])
     assert verify_move_closure(zero, 2, 4).closed
 

@@ -6,8 +6,9 @@ from itertools import combinations, permutations
 import pytest
 
 from tca_lab.algebra import (EquivariantIdeal, Span, VariableSystem,
-                             block_vanishes, highest_weight_vector, poly_add,
-                             rep_closure, term)
+                             algebra_closed_formula, block_vanishes,
+                             decompose_algebra, highest_weight_vector,
+                             poly_add, rep_closure, term)
 from tca_lab.errors import ParseError
 from tca_lab.partitions import (contains, decompose_into_schur, partitions_of,
                                 transpose)
@@ -131,21 +132,21 @@ def test_determinantal_ideal_spans_the_explicit_minors(flavor):
 
 def test_hypersurface_tables():
     """A single regular quadric: one homology line and nothing above it."""
-    assert tor_table(DeterminantalIdealSpec("symmetric", 2, 1), 3, 4).as_dict() \
+    assert tor_table(DeterminantalIdealSpec("symmetric", 2, 1), 3, 4).entries \
         == {(0, 0): {(): 1}, (1, 2): {(2, 2): 1}}
-    assert tor_table(DeterminantalIdealSpec("symmetric", 3, 2), 2, 4).as_dict() \
+    assert tor_table(DeterminantalIdealSpec("symmetric", 3, 2), 2, 4).entries \
         == {(0, 0): {(): 1}, (1, 3): {(2, 2, 2): 1}}
-    assert tor_table(DeterminantalIdealSpec("generic", 2, 1), 2, 3).as_dict() \
+    assert tor_table(DeterminantalIdealSpec("generic", 2, 1), 2, 3).entries \
         == {(0, 0): {((), ()): 1}, (1, 2): {((1, 1), (1, 1)): 1}}
     assert tor_table(DeterminantalIdealSpec("antisymmetric", 4, 2), 2, 3
-                     ).as_dict() == {(0, 0): {(): 1},
-                                     (1, 2): {(1, 1, 1, 1): 1}}
+                     ).entries == {(0, 0): {(): 1},
+                                   (1, 2): {(1, 1, 1, 1): 1}}
 
 
 def test_trivial_quotient_table():
     table = tor_table(DeterminantalIdealSpec("symmetric", 3, 3), 2, 3)
-    assert table.as_dict() == {(0, 0): {(): 1}}
-    assert table.meta["ideal"].endswith(" (zero ideal)")
+    assert table.entries == {(0, 0): {(): 1}}
+    assert table.label.endswith(" (zero ideal)")
 
 
 def exterior_power_character(system, p):
@@ -165,14 +166,14 @@ def test_full_variable_quotient_matches_exterior_powers():
     for n in (2, 3):
         system = VariableSystem("symmetric", n)
         table = tor_table(DeterminantalIdealSpec("symmetric", n, 0), 3, 3
-                          ).as_dict()
+                          ).entries
         for p in range(4):
             oracle = decompose_into_schur(
-                exterior_power_character(system, p), n).entries
+                exterior_power_character(system, p), n)
             assert table.get((p, p), {}) == oracle, (n, p)
         assert all(p == q for p, q in table)
     # frozen labels at rank 2, for the record
-    t2 = tor_table(DeterminantalIdealSpec("symmetric", 2, 0), 3, 3).as_dict()
+    t2 = tor_table(DeterminantalIdealSpec("symmetric", 2, 0), 3, 3).entries
     assert t2 == {(0, 0): {(): 1}, (1, 1): {(2,): 1},
                   (2, 2): {(3, 1): 1}, (3, 3): {(3, 3): 1}}
 
@@ -204,7 +205,7 @@ def test_every_tor_row_has_the_koszul_euler_characteristic(flavor, bound, n):
     spec = DeterminantalIdealSpec(flavor, n, bound)
     system = VariableSystem(flavor, n)
     g = sum(spec.lam)
-    table = tor_table(spec, p_max, p_max + g - 1).as_dict()
+    table = tor_table(spec, p_max, p_max + g - 1).entries
     for q in range(p_max + g):
         tor, koszul = {}, {}
         for (p, row), labels in table.items():
@@ -381,22 +382,54 @@ def test_tor_table_records_are_sorted():
     table = tor_table(DeterminantalIdealSpec("symmetric", 2, 0), 2, 2)
     recs = table.records()
     assert recs == sorted(recs)
-    assert table.entries.get((1, 1)).entries == {(2,): 1}
+    assert table.entries.get((1, 1)) == {(2,): 1}
     assert table.entries.get((9, 9)) is None
     assert isinstance(table, TorTable)
+
+
+def assert_plain_character(char):
+    """A character is a plain dict label -> multiplicity, each an ``int``
+    above zero."""
+    assert type(char) is dict, type(char)
+    assert all(type(m) is int and m > 0 for m in char.values()), char
+
+
+def test_characters_are_plain_dicts_of_positive_ints():
+    """Every layer hands a character over in one form: the Schur expansion
+    (``Fraction`` input and pair keys included), both decompositions of
+    the algebra, and each Tor cell; a Tor table names its ideal."""
+    assert_plain_character(decompose_into_schur(
+        {k: Fraction(2 * c) for k, c in schur_character((2, 1), 3).items()}, 3))
+    assert_plain_character(decompose_into_schur(
+        poly_product(schur_character((1,), 2), schur_character((1,), 2)), 2))
+    for flavor in ("symmetric", "antisymmetric", "generic"):
+        for d in range(4):
+            assert_plain_character(decompose_algebra(flavor, d, 3))
+            assert_plain_character(algebra_closed_formula(flavor, d, 3))
+    for spec in (DeterminantalIdealSpec("symmetric", 3, 1),
+                 DeterminantalIdealSpec("antisymmetric", 4, 2),
+                 DeterminantalIdealSpec("generic", 2, 1),
+                 DeterminantalIdealSpec("symmetric", 2, 2)):
+        table = tor_table(spec, 2, 4)
+        assert table.label == spec.label
+        assert table.entries
+        for char in table.entries.values():
+            assert_plain_character(char)
+    unnamed = EquivariantIdeal.from_generators(VariableSystem("generic", 2), [])
+    assert tor_table(unnamed, 1, 1).label == "(custom)"
 
 
 def test_symmetry_sampling_path():
     # exercises the dominant-vs-shuffled weight audit; a clean engine passes
     table = tor_table(DeterminantalIdealSpec("symmetric", 2, 1), 2, 3,
                       sample_check_seed=5)
-    assert table.as_dict()[(1, 2)] == {(2, 2): 1}
+    assert table.entries[(1, 2)] == {(2, 2): 1}
 
 
 def test_stabilization_between_consecutive_ranks():
     stab = stabilization_report(determinantal_family("generic", 1), 2, 4, (3, 4))
-    assert stab.tables[3].as_dict() == stab.tables[4].as_dict()
-    assert sorted(stab.tables[3].as_dict()) == [(0, 0), (1, 2), (2, 3)]
+    assert stab.tables[3].entries == stab.tables[4].entries
+    assert sorted(stab.tables[3].entries) == [(0, 0), (1, 2), (2, 3)]
     assert stab.first_stable == {(0, 0): 3, (1, 2): 3, (2, 3): 3}
     assert stab.never_stabilized == []
     assert {pq for pq, n in stab.first_stable.items()
@@ -466,7 +499,7 @@ STABILIZATION_CASES = [
 def test_stabilization_report_matches_the_rank_by_rank_oracle(
         family, p_max, q_max, n_range):
     """One table at the top rank, truncated, gives the report that a full
-    table at every rank gives: tables, meta and first_stable alike."""
+    table at every rank gives: tables, labels and first_stable alike."""
     got = stabilization_report(family, p_max, q_max, n_range)
     want = stabilization_by_rank(family, p_max, q_max, n_range)
     assert got == want
@@ -514,25 +547,25 @@ def test_stabilization_koszul_case():
 def test_rank_bound_is_clamped():
     stab = stabilization_report(determinantal_family("symmetric", 9), 1, 2, (2, 3))
     for n, table in stab.tables.items():
-        assert table.as_dict() == {(0, 0): {(): 1}}
+        assert table.entries == {(0, 0): {(): 1}}
 
 
 def test_ft_label_boundedness():
     report = stabilization_report(
         lambda n: determinantal_ideal(DeterminantalIdealSpec("symmetric", n, 1)),
         1, 2, (2, 3))
-    assert labels_per_p(report.tables, report.p_max) == {
+    assert labels_per_p(report.tables, 1) == {
         0: {2: ((),), 3: ((),)}, 1: {2: ((2, 2),), 3: ((2, 2),)}}
-    assert all_bounded(report.tables, report.p_max)
+    assert all_bounded(report.tables, 1)
 
     zero = stabilization_report(
         lambda n: EquivariantIdeal.from_generators(
             VariableSystem("symmetric", n), [], label="zero"),
         2, 2, (2, 3))
-    labels = labels_per_p(zero.tables, zero.p_max)
+    labels = labels_per_p(zero.tables, 2)
     assert labels[0] == {2: ((),), 3: ((),)}
     assert labels[1] == {2: (), 3: ()}
-    assert all_bounded(zero.tables, zero.p_max)
+    assert all_bounded(zero.tables, 2)
 
 
 def _label(weight):
@@ -567,7 +600,7 @@ def test_isotypic_family_runs_through_the_one_pipeline(flavor, lam):
     for n in ranks:
         system = VariableSystem(flavor, n)
         top = next(iter(highest_weight_vector(system, lam)))
-        assert stab.tables[n].entries.get((1, d)).entries == {
+        assert stab.tables[n].entries.get((1, d)) == {
             _label(system.weight(top)): 1}
     assert stab == stabilization_report(generated, 2, d + 1, ranks)
 
@@ -581,7 +614,7 @@ def test_degree_one_linear_ideal_has_koszul_tor():
     """The red variables x_1..x_3 (the orbit of x_1) form a regular
     sequence of linear forms: Tor_{p,p} is the exterior power (1^p)."""
     ideal = EquivariantIdeal.from_generators(DEGREE_ONE_3, [{((0, 1),): 1}])
-    assert tor_table(ideal, 4, 5).as_dict() == {
+    assert tor_table(ideal, 4, 5).entries == {
         (0, 0): {(): 1}, (1, 1): {(1,): 1}, (2, 2): {(1, 1): 1},
         (3, 3): {(1, 1, 1): 1}}
 
@@ -593,8 +626,8 @@ def test_degree_one_two_by_two_minors_are_eagon_northcott():
     minors = EquivariantIdeal.from_generators(
         DEGREE_ONE_3, [{((0, 1), (1, 2)): 1, ((0, 2), (1, 1)): -1}])
     want = {(0, 0): {(): 1}, (1, 2): {(1, 1): 1}, (2, 3): {(1, 1, 1): 2}}
-    assert tor_table(minors, 3, 5).as_dict() == want
-    assert tor_table(minors, 3, 5, sample_check_seed=7).as_dict() == want
+    assert tor_table(minors, 3, 5).entries == want
+    assert tor_table(minors, 3, 5, sample_check_seed=7).entries == want
 
 
 @pytest.mark.parametrize("flavor,top", [("symmetric", 4), ("antisymmetric", 4),
