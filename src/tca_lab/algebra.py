@@ -65,9 +65,11 @@ from .matchings import (
     colored_key,
     colored_set,
     degree_one_moves,
+    degree_one_shifts,
     matching,
     matching_key,
     relabel,
+    shift_moves,
     type1_moves,
     type2_moves,
 )
@@ -166,6 +168,33 @@ class VariableSystem:
             for v in mono:
                 flat[offset + v[pos]] += 1
         return self.unflatten(tuple(flat))
+
+    def sort_weight(self, w):
+        """The dominant weight of ``w``, each label block sorted descending,
+        and per block the label map (1-based; entry 0 unused) that carries
+        each sorted slot back to its slot in ``w``."""
+        blocks, maps = [], []
+        for block in self.blocks(w):
+            order = sorted(range(len(block)), key=block.__getitem__, reverse=True)
+            blocks.append(tuple([block[i] for i in order]))
+            maps.append((0, *[i + 1 for i in order]))
+        return self.join(blocks), tuple(maps)
+
+    def relabel(self, mono, maps):
+        """(image, sign) of a monomial under one label map per block, as
+        :meth:`sort_weight` gives them, stored through :meth:`canonical`;
+        colors stay fixed."""
+        f, g = (None if block is None else maps[block]
+                for block in LAYOUTS[self.flavor])
+        canonical = self.canonical
+        sign = 1
+        out = []
+        for i, j in mono:
+            var, s = canonical(i if f is None else f[i], j if g is None else g[j])
+            sign *= s
+            out.append(var)
+        out.sort()
+        return tuple(out), sign
 
     def sides(self):
         """The derivation side of each label block."""
@@ -382,10 +411,15 @@ def rep_closure(system, gens):
             row = span.add(piece)
             if row is not None:
                 queue.append(row)
-    ops = all_ops(system)
+    sides = system.sides()
+    ops = [(a, b, side, sides.index(side)) for a, b, side in all_ops(system)]
     while queue:
         vec = queue.pop()
-        for a, b, side in ops:
+        # act(a, b) kills a row with no label b on its side
+        blocks = system.blocks(system.weight(next(iter(vec))))
+        for a, b, side, k in ops:
+            if not blocks[k][b - 1]:
+                continue
             img = lie_act(system, a, b, vec, side)
             if not img:
                 continue
@@ -626,9 +660,7 @@ def lowerings_from(system, hwv, w_high, w_target, cache=None):
     """
     if cache is None:
         cache = {}
-    sorted_blocks = [_sort_labels(b) for b in system.blocks(w_target)]
-    dominant = system.join([b for _, b in sorted_blocks])
-    rows, cols = sorted_blocks[0][0], sorted_blocks[-1][0]
+    dominant, maps = system.sort_weight(w_target)
     basis = cache.get(dominant)
     if basis is None:
         basis = cache[dominant] = _dominant_slice(
@@ -639,21 +671,10 @@ def lowerings_from(system, hwv, w_high, w_target, cache=None):
     for vec in basis:
         moved = {}
         for mono, c in vec.items():
-            new = []
-            for i, j in mono:
-                var, sign = system.canonical(rows[i], cols[j])
-                new.append(var)
-                c *= sign
-            moved[tuple(sorted(new))] = c
+            image, sign = system.relabel(mono, maps)
+            moved[image] = sign * c
         out.append(moved)
     return out
-
-
-def _sort_labels(w):
-    """Descending sort of a weight, with the label map that carries each
-    sorted slot (1-based; entry 0 unused) back to its original slot."""
-    order = sorted(range(len(w)), key=lambda i: -w[i])
-    return (0,) + tuple(i + 1 for i in order), tuple(w[i] for i in order)
 
 
 def _dominant_slice(system, hwv, w_high, dominant, cache):
@@ -794,8 +815,9 @@ def indicator_weight(n, support):
 
 def _initial_data(flavor):
     """How a flavor reads its initial data: (the matching or colored set of
-    an admissible monomial, total order on them, moves within a label bound,
-    image under a label map).
+    an admissible monomial, total order on them, moves within a label bound
+    that add an edge or element only when ``grow`` is true, image under a
+    label map).
 
     An admissible monomial of a matrix flavor already is an edge list; a
     degree_one monomial is a set of colored labels.  Built on every call, so
@@ -804,13 +826,17 @@ def _initial_data(flavor):
     """
     if flavor == "degree_one":
         return (lambda m: colored_set((i, "RB"[c]) for c, i in m),
-                colored_key, degree_one_moves,
+                colored_key,
+                lambda s, bound, grow: (degree_one_moves if grow
+                                        else degree_one_shifts)(s, bound),
                 lambda s, f: colored_set((f[e], c) for e, c in s))
     if flavor not in MATCHING_FLAVORS:
         raise ValueError("initial data need a symmetric, antisymmetric "
                          "or degree_one system")
     return (matching, matching_key,
-            lambda g, bound: type1_moves(g, bound) + type2_moves(g), relabel)
+            lambda g, bound, grow: ((type1_moves if grow else shift_moves)(g, bound)
+                                    + type2_moves(g)),
+            relabel)
 
 
 def initial_set(ideal, degree_bound, support_bound):
@@ -855,16 +881,15 @@ class MoveClosureReport:
 
 def verify_move_closure(ideal, degree_bound, support_bound):
     """Check that the initial set is stable under every move that stays
-    within the bounds; violations are returned, not raised."""
+    within the bounds; violations are returned, not raised.  A matching (or
+    colored set) at the degree bound gets no moves that add to it."""
     moves = _initial_data(ideal.system.flavor)[2]
     initial = initial_set(ideal, degree_bound, support_bound)
     inset = set(initial)
     moves_checked = 0
     violations = []
     for g in initial:
-        for mv, img in moves(g, support_bound):
-            if len(img) > degree_bound:
-                continue
+        for mv, img in moves(g, support_bound, len(g) < degree_bound):
             moves_checked += 1
             if img not in inset:
                 violations.append((g, mv, img))

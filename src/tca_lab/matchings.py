@@ -136,14 +136,20 @@ def fmt_matching(g) -> str:
 
 
 def type1_moves(g, vertex_bound):
-    """All growth moves from ``g`` staying within labels <= vertex_bound."""
+    """All growth moves from ``g`` staying within labels <= vertex_bound:
+    each fresh edge on two unused labels, then :func:`shift_moves`."""
     used = vertices(g)
     free = [v for v in range(1, vertex_bound + 1) if v not in used]
+    out = [(Move("add_edge", (e,)), _canon(g + (e,)))
+           for e in combinations(free, 2)]
+    return out + shift_moves(g, vertex_bound)
+
+
+def shift_moves(g, vertex_bound):
+    """The growth moves from ``g`` that keep its size: one endpoint shifted
+    up by one onto an unused label <= vertex_bound."""
+    used = vertices(g)
     out = []
-    for ai in range(len(free)):
-        for bi in range(ai + 1, len(free)):
-            e = (free[ai], free[bi])
-            out.append((Move("add_edge", (e,)), _canon(g + (e,))))
     for e in g:
         i, j = e
         rest = tuple(f for f in g if f != e)
@@ -574,6 +580,14 @@ def degree_one_moves(s, vertex_bound):
             out.append(
                 (Move("add_element", ((v, color),)), colored_set(s + ((v, color),)))
             )
+    return out + degree_one_shifts(s, vertex_bound)
+
+
+def degree_one_shifts(s, vertex_bound):
+    """The growth moves on a colored set that keep its size: an element
+    shifted up by one onto a free slot <= vertex_bound."""
+    used = {e for e, _ in s}
+    out = []
     for elem, color in s:
         up = elem + 1
         if up <= vertex_bound and up not in used:

@@ -21,22 +21,27 @@ family n -> ideal at its top rank only, reads each lower rank off it by
 dropping the labels of more rows, and marks each (p, q) cell stable from
 the first rank that holds its longest label.
 
-A strand enumerates only what fits its weight: a chain basis takes the
-p-subsets of variables from a depth-first search that stops as soon as a
-label runs out of capacity, grouped by what they leave of the weight, and
-the monomials of each remainder come from
+A strand enumerates only what fits its weight: one depth-first search
+finds the subsets of variables of every size up to p_max + 1 at once,
+stopping as soon as a label runs out of capacity, grouped by what they
+leave of the weight, and the monomials of each remainder come from
 :func:`tca_lab.algebra.monomials_of_weight`.  Both searches read the
 variables and their weight slots from the system's ``capacity_table``.
-The d∘d = 0 check on a basis vector of K_p combines the images of
-K_{p-1}, kept for one strand, along the terms of its own image: d is
-linear, so this is d(d(x)) without a second differential.
+Ranks and the d∘d = 0 check work on integer coordinates: each image is
+re-keyed by the positions of its terms in the basis of K_{p-1}.  The check
+on a basis vector of K_p combines the images of K_{p-1}, kept for one
+strand, along the terms of its own image: d is linear, so this is d(d(x))
+without a second differential.
 
 Each KoszulComplex keeps its own caches, built lazily and dropped with it:
-the quotient bases per (degree, weight) and the normal form of every
-monomial reduced so far, as ``Span.reduce`` returns it: ``int`` wherever it
-is integral, so the differential mostly multiplies ``int``.  The ideal
-memoises its monomial enumerations the same way.  Nothing is cached at
-module level.
+the quotient bases per (degree, weight), and the normal form of every
+monomial reduced so far.  A quotient basis is built only at a dominant
+weight, from the ideal slice there; at any other weight it is relabelled
+from the basis at the sorted weight, and a normal form there is reduced at
+the sorted weight and relabelled back.  ``Span.reduce`` returns ``int``
+wherever the normal form is integral, so the differential mostly
+multiplies ``int``.  The ideal memoises its monomial enumerations the same
+way.  Nothing is cached at module level.
 
 Conventions baked into reports: internal degree q is the total degree
 (the exterior factor counts 1 per variable); alternating-form rank bounds
@@ -141,34 +146,59 @@ class KoszulComplex:
         self.system = ideal.system
         self.ideal = ideal
         self.p_max = p_max
-        self._quotient_cache = {}
+        self._quotient_cache = {}    # (degree, weight) -> standard monomials
+        self._spans = {}             # (degree, dominant weight) -> ideal slice
         self._normal_forms = {}      # monomial -> normal form modulo I
+        self._subsets = None         # (weight, fitting subsets by size)
 
     # -- quotient bases -----------------------------------------------------
 
     def quotient_basis(self, d, w):
-        """Standard monomials of (A/I)_{d,w}: non-pivot monomials."""
+        """Standard monomials of (A/I)_{d,w}: the non-pivot monomials of the
+        ideal slice at a dominant weight, and elsewhere their images under
+        the label map from the dominant weight ``sort(w)``.  That map lies
+        in GL_n, so it carries I onto I and a complement onto a complement.
+        """
         key = (d, w)
         cached = self._quotient_cache.get(key)
         if cached is None:
-            span = self.ideal.component_span(d, w)
-            monos = [m for m in monomials_of_weight(self.system, d, w)
-                     if m not in span.rows]
-            cached = (tuple(monos), span)
+            dominant, maps = self.system.sort_weight(w)
+            if dominant == w:
+                span = self._spans[key] = self.ideal.component_span(d, w)
+                cached = tuple(m for m in monomials_of_weight(self.system, d, w)
+                               if m not in span.rows)
+            else:
+                relabel = self.system.relabel
+                cached = tuple(relabel(m, maps)[0]
+                               for m in self.quotient_basis(d, dominant))
             self._quotient_cache[key] = cached
         return cached
 
     def _normal_form(self, mono):
-        """Normal form of a monomial modulo I, memoised; shared, never mutated.
+        """Normal form of a monomial modulo I on the quotient basis of its
+        weight, memoised; shared, never mutated.
 
-        ``Span.reduce`` returns ``int`` coefficients wherever the normal form
-        is integral, so most of the arithmetic in :meth:`apply_diff` stays
-        on ``int``.
+        At a dominant weight it is ``Span.reduce`` on the ideal slice, which
+        returns ``int`` coefficients wherever the normal form is integral,
+        so most of the arithmetic in :meth:`apply_diff` stays on ``int``.
+        Elsewhere the monomial moves to the dominant weight, is reduced
+        there, and the result moves back.
         """
         nf = self._normal_forms.get(mono)
         if nf is None:
-            _, span = self.quotient_basis(len(mono), self.system.weight(mono))
-            nf = span.reduce({mono: 1})
+            system = self.system
+            d, w = len(mono), system.weight(mono)
+            dominant, maps = system.sort_weight(w)
+            if dominant == w:
+                self.quotient_basis(d, w)
+                nf = self._spans[(d, w)].reduce({mono: 1})
+            else:
+                back = [sorted(range(len(f)), key=f.__getitem__) for f in maps]
+                moved, sign = system.relabel(mono, back)
+                nf = {}
+                for m, c in self._normal_form(moved).items():
+                    image, s = system.relabel(m, maps)
+                    nf[image] = sign * s * c
             self._normal_forms[mono] = nf
         return nf
 
@@ -181,37 +211,44 @@ class KoszulComplex:
         out = []
         unflatten = self.system.unflatten
         for rem, subsets in self._fitting_subsets(p, w).items():
-            monos, _ = self.quotient_basis(q - p, unflatten(rem))
+            monos = self.quotient_basis(q - p, unflatten(rem))
             out.extend((T, m) for T in subsets for m in monos)
         return out
 
     def _fitting_subsets(self, p, w):
         """The p-subsets of variables whose weight fits under ``w``, grouped
-        by what is left of the flat view of ``w``; a depth-first search
-        over :attr:`VariableSystem.capacity_table` that takes a variable
-        only while every label it uses has capacity left."""
-        cap = list(self.system.flatten(w))
-        table = self.system.capacity_table
-        groups = {}
-        chosen = []
+        by what is left of the flat view of ``w``.
 
-        def dfs(start, left):
-            if not left:
-                groups.setdefault(tuple(cap), []).append(tuple(chosen))
-                return
-            for idx in range(start, len(table) - left + 1):
-                v, slots, _, _ = table[idx]
-                for t in slots:
-                    cap[t] -= 1
-                if cap[slots[0]] >= 0 and cap[slots[-1]] >= 0:
-                    chosen.append(v)
-                    dfs(idx + 1, left - 1)
-                    chosen.pop()
-                for t in slots:
-                    cap[t] += 1
+        One depth-first search over :attr:`VariableSystem.capacity_table`
+        finds the subsets of every size up to ``max(p, p_max + 1)`` at once,
+        taking a variable only while every label it uses has capacity left;
+        the result is kept for the last weight only."""
+        cached = self._subsets
+        if cached is None or cached[0] != w or len(cached[1]) <= p:
+            cap = list(self.system.flatten(w))
+            table = self.system.capacity_table
+            top = max(p, self.p_max + 1)
+            groups = [{} for _ in range(top + 1)]
+            chosen = []
 
-        dfs(0, p)
-        return groups
+            def dfs(start):
+                groups[len(chosen)].setdefault(tuple(cap), []).append(tuple(chosen))
+                if len(chosen) == top:
+                    return
+                for idx in range(start, len(table)):
+                    v, slots, _, _ = table[idx]
+                    for t in slots:
+                        cap[t] -= 1
+                    if cap[slots[0]] >= 0 and cap[slots[-1]] >= 0:
+                        chosen.append(v)
+                        dfs(idx + 1)
+                        chosen.pop()
+                    for t in slots:
+                        cap[t] += 1
+
+            dfs(0)
+            cached = self._subsets = (w, groups)
+        return cached[1][p]
 
     def apply_diff(self, vec):
         """One Koszul differential step on a chain vector."""
@@ -233,21 +270,27 @@ class KoszulComplex:
     # -- homology -------------------------------------------------------------
 
     def strand(self, q, w):
-        """(chain dims, differential ranks, homology dims) for p=0..p_max."""
+        """(chain dims, differential ranks, homology dims) for p=0..p_max.
+
+        Each image of :meth:`apply_diff` is re-keyed by the position of
+        each (T, m) in the basis of K_{p-1}, so ranks and the d∘d check
+        work on ``int`` coordinates."""
         P = self.p_max
         bases = [self.chain_basis(p, q, w) for p in range(P + 2)]
         dims = [len(b) for b in bases]
         ranks = [0] * (P + 3)   # ranks[p] = rank of d: K_p -> K_{p-1}
-        below = {}              # basis vector of K_{p-1} -> its image
+        below = []              # images of the basis of K_{p-1}
         for p in range(1, P + 2):
+            position = {y: i for i, y in enumerate(bases[p - 1])}
             span = Span()
-            images = {}
+            images = []
             for x in bases[p]:
-                img = images[x] = self.apply_diff({x: 1})
+                img = {position[y]: c for y, c in self.apply_diff({x: 1}).items()}
+                images.append(img)
                 if p >= 2:
                     again = {}
-                    for y, c in img.items():
-                        for z, c2 in below[y].items():
+                    for i, c in img.items():
+                        for z, c2 in below[i].items():
                             nv = again.get(z, 0) + c * c2
                             if nv:
                                 again[z] = nv

@@ -9,11 +9,12 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import prod
 
-from tca_lab.algebra import (Span, _initial_data, highest_weight_vector,
-                             indicator_weight, lie_act, monomials_of_weight,
-                             weight_split)
+from tca_lab.algebra import (Span, _initial_data, all_ops, highest_weight_vector,
+                             indicator_weight, initial_set, lie_act,
+                             monomials_of_weight, weight_split)
 from tca_lab.errors import ParseError, TcaLabError
-from tca_lab.matchings import matching_key
+from tca_lab.matchings import (degree_one_moves, matching_key, type1_moves,
+                               type2_moves)
 from tca_lab.partitions import _schur_cached, contains, partition
 from tca_lab.torlab import StabilizationReport, tor_table
 
@@ -94,6 +95,50 @@ def branchy_lie_act(system, a, b, p, side=None):
                 else:
                     del out[nm]
     return out
+
+
+def rep_closure_all_ops(system, gens):
+    """``rep_closure`` applying every derivation to every new row, the
+    rows with no label b included."""
+    span = Span()
+    queue = []
+    for g in gens:
+        for piece in weight_split(system, g).values():
+            row = span.add(piece)
+            if row is not None:
+                queue.append(row)
+    ops = all_ops(system)
+    while queue:
+        vec = queue.pop()
+        for a, b, side in ops:
+            img = lie_act(system, a, b, vec, side)
+            if not img:
+                continue
+            row = span.add(img)
+            if row is not None:
+                queue.append(row)
+    return span.vectors()
+
+
+def move_closure_by_filter(ideal, degree_bound, support_bound):
+    """(moves checked, violations) of ``verify_move_closure``, building
+    every growth and swap image and dropping those above the degree bound."""
+    initial = initial_set(ideal, degree_bound, support_bound)
+    inset = set(initial)
+    checked = 0
+    violations = []
+    for g in initial:
+        if ideal.system.flavor == "degree_one":
+            moves = degree_one_moves(g, support_bound)
+        else:
+            moves = type1_moves(g, support_bound) + type2_moves(g)
+        for mv, img in moves:
+            if len(img) > degree_bound:
+                continue
+            checked += 1
+            if img not in inset:
+                violations.append((g, mv, img))
+    return checked, violations
 
 
 # ---------------------------------------------------------------------------

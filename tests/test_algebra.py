@@ -44,7 +44,8 @@ from oracles import (ZeroVectorError, admissible_component, branchy_lie_act,
                      branchy_variables, branchy_weight, hw_weight,
                      character_dim, ideal_component, ideal_contains,
                      initial_matching, initial_set_by_support,
-                     monomials_of_degree, raising_kernel)
+                     monomials_of_degree, move_closure_by_filter,
+                     raising_kernel, rep_closure_all_ops)
 
 SYM2 = VariableSystem("symmetric", 2)
 SYM4 = VariableSystem("symmetric", 4)
@@ -149,6 +150,25 @@ def test_rep_closure_dimensions():
     gen = VariableSystem("generic", 2)
     x12 = {((1, 2),): Fraction(1)}
     assert len(rep_closure(gen, [x12])) == 4
+
+
+def test_rep_closure_matches_the_all_ops_loop_on_random_generators():
+    """Skipping act(a, b) on rows with no label b keeps every row: random
+    generators of degree 1-3 in all four flavors, generic on both sides."""
+    rng = random.Random(28)
+    for flavor in ("symmetric", "antisymmetric", "generic", "degree_one"):
+        for n in (2, 3, 4):
+            system = VariableSystem(flavor, n)
+            variables = system.variables()
+            for _ in range(6):
+                gens = []
+                for _ in range(rng.randint(1, 2)):
+                    gen = {}
+                    for _ in range(rng.randint(1, 3)):
+                        mono = tuple(sorted(rng.choices(variables, k=rng.randint(1, 3))))
+                        poly_add(gen, {mono: rng.randint(-3, 3) or 1})
+                    gens.append(gen)
+                assert rep_closure(system, gens) == rep_closure_all_ops(system, gens)
 
 
 def test_monomial_enumeration():
@@ -647,6 +667,25 @@ def test_move_closure_zero_violation_examples():
     assert res.closed
     zero = EquivariantIdeal.from_generators(SYM4, [])
     assert verify_move_closure(zero, 2, 4).closed
+
+
+def test_move_closure_matches_the_filtered_image_list():
+    """No add_edge (add_element) images at the degree bound: the same
+    moves checked and the same violations as building every image."""
+    cases = [(EquivariantIdeal.isotypic(SYM4, lam), d, 4)
+             for lam in ((1,), (2,), (1, 1)) for d in (2, 3)]
+    anti = VariableSystem("antisymmetric", 6)
+    cases += [(EquivariantIdeal.isotypic(anti, (1,)), 3, 6),
+              (EquivariantIdeal.from_generators(SYM4, [det_corner(SYM4)]), 3, 4),
+              (EquivariantIdeal.from_generators(D1, [red(1)]), 2, 6),
+              (EquivariantIdeal.from_generators(D1, [red(1), blue(2)]), 3, 5)]
+    checked = 0
+    for ideal, degree, support in cases:
+        res = verify_move_closure(ideal, degree, support)
+        want = move_closure_by_filter(ideal, degree, support)
+        assert (res.moves_checked, res.violations) == want, ideal.label
+        checked += res.moves_checked
+    assert checked > 0
 
 
 def test_initial_set_is_an_up_set_in_the_small_poset():

@@ -1,6 +1,7 @@
 """Koszul strands, determinantal ideals, and cross-rank stabilization."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from tca_lab.algebra import (EquivariantIdeal, Span, VariableSystem,
                              algebra_closed_formula, block_vanishes,
                              decompose_algebra, highest_weight_vector,
-                             poly_add, rep_closure, term)
+                             monomials_of_weight, poly_add, rep_closure, term)
 from tca_lab.errors import ParseError
 from tca_lab.partitions import (contains, decompose_into_schur, partitions_of,
                                 transpose)
@@ -288,15 +289,39 @@ def oracle_chain_basis(komplex, p, q, w):
                 break
         if rem is None:
             continue
-        monos, _ = komplex.quotient_basis(q - p, rem)
-        out.extend((T, m) for m in monos)
+        out.extend((T, m) for m in komplex.quotient_basis(q - p, rem))
     return out
 
 
+@lru_cache(maxsize=256)
+def oracle_projections(komplex, d, w):
+    """Each monomial of degree ``d`` and weight ``w`` projected onto
+    ``quotient_basis(d, w)`` along a freshly built ideal slice at ``w``:
+    the basis must be a complement of the slice, and sympy solves for the
+    coordinates, returned as Fractions."""
+    import sympy
+
+    monos = monomials_of_weight(komplex.system, d, w)
+    basis = komplex.quotient_basis(d, w)
+    rows = komplex.ideal.component_span(d, w).vectors()
+    assert len(set(basis)) == len(basis)
+    assert len(basis) + len(rows) == len(monos), (komplex.ideal.label, d, w)
+    index = {m: i for i, m in enumerate(monos)}
+    mat = sympy.zeros(len(monos), len(monos))
+    for j, col in enumerate([{m: 1} for m in basis] + rows):
+        for m, c in col.items():
+            mat[index[m], j] = sympy.Rational(c.numerator, c.denominator)
+    assert mat.rank() == len(monos), (komplex.ideal.label, d, w)
+    coords = mat.inv()
+    return {m: {b: Fraction(int(x.p), int(x.q))
+                for b, x in zip(basis, coords[:len(basis), k]) if x}
+            for k, m in enumerate(monos)}
+
+
 def oracle_normal_form(komplex, mono):
-    """An uncached reduction, seeded with a Fraction."""
-    _, span = komplex.quotient_basis(len(mono), komplex.system.weight(mono))
-    return span.reduce({mono: Fraction(1)})
+    """The projection of a monomial onto the quotient basis of its weight
+    along the ideal, solved from scratch."""
+    return oracle_projections(komplex, len(mono), komplex.system.weight(mono))[mono]
 
 
 def oracle_apply_diff(komplex, vec):
